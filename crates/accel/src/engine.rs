@@ -14,6 +14,18 @@
 //! in-simulator mirror of the paper's offline DPU conversion LUT,
 //! Section II-B), so the inner loop is a table load plus a sign-steered
 //! add.
+//!
+//! The prepared tile ([`VdpEngine::vdp_batch_prepared`]) is
+//! **column-stationary**, as in the hardware, where each weight is
+//! converted once and held while input streams sweep past it. A block of
+//! patches is transposed once into clamped columns. Each weight element
+//! then fetches its own `2^B`-entry LUT row and sweeps it down its
+//! column, adding into the positive or negative rail of every patch in
+//! the block. That inner loop has no sign test, no clamp and no index
+//! arithmetic, which leaves the keyed ADC conversion (one Box-Muller
+//! draw per `(patch, kernel, chunk)`) as the largest stage of the tile.
+//! The raw [`VdpEngine::vdp_batch`] (the trait default over
+//! [`VdpEngine::vdp_keyed`]) stays the parity oracle.
 
 use rand::RngCore;
 use sconna_photonics::pca::AdcModel;
@@ -53,6 +65,12 @@ impl RngCore for KeyedAdcStream {
     }
 }
 
+/// Patches per block of the column-stationary prepared tile: enough that
+/// each `2^B`-entry LUT row fetched per weight element is swept down a
+/// long column, few enough that the block's transposed copy (`128 · S`
+/// u16) and its two rail arrays stay cache-resident.
+const TILE_PATCHES: usize = 128;
+
 /// Sign-steered rail accumulation of one VDPE chunk: every element's
 /// debiased OSM product (from `product(i, |w|, osm_index)`) lands on the
 /// positive or negative rail by its weight's sign bit. Returns
@@ -76,38 +94,14 @@ fn accumulate_rails(
     (pos, neg)
 }
 
-/// Sign-steered rail accumulation against a **prepared** weight row:
-/// magnitudes are already clamped LUT addresses and signs are steering
-/// bits, so the inner loop touches no signed arithmetic at all. Must
-/// steer and clamp exactly like [`accumulate_rails`] — the prepared path
-/// is bit-equal to the raw path by construction.
-#[inline]
-fn accumulate_rails_prepared(
-    ichunk: &[u32],
-    mags: &[u16],
-    negs: &[bool],
-    qmax: u32,
-    product: impl Fn(u32, u32, usize) -> u32,
-) -> (u64, u64) {
-    let (mut pos, mut neg) = (0u64, 0u64);
-    for (k, ((&i, &mag), &steer_neg)) in ichunk.iter().zip(mags).zip(negs).enumerate() {
-        let p = product(i.min(qmax), mag as u32, k) as u64;
-        if steer_neg {
-            neg += p;
-        } else {
-            pos += p;
-        }
-    }
-    (pos, neg)
-}
-
 /// [`SconnaEngine`]'s prepared weight form — everything the stochastic
 /// pipeline derives from a weight matrix per call, hoisted to model-load
-/// time:
+/// time, and consumed by the column-stationary tile:
 ///
 /// * the clamped weight magnitudes, i.e. the binary operands the offline
 ///   DKV conversion turns into weight-stream LUT addresses (`Wb`,
-///   Section II-B);
+///   Section II-B) — each selects the [`OsmProductLut::row`] that sweeps
+///   that element's patch column;
 /// * the sign steering bits that route each OSM product onto the
 ///   positive or negative PCA rail (the filter MRR's sign bit);
 /// * the range-matched per-chunk ADC models (the TIR amplifier gain is a
@@ -116,7 +110,8 @@ fn accumulate_rails_prepared(
 ///
 /// The fingerprint fields pin the engine configuration the handle was
 /// derived for; an engine with a different precision, VDPE size or ADC
-/// ignores the payload and recomputes from the raw weights.
+/// ignores the payload and recomputes from the raw weights, as does an
+/// engine without a product table (B above [`OsmProductLut::MAX_BITS`]).
 #[derive(Debug)]
 struct SconnaPrepared {
     /// Clamped magnitudes (LUT weight-stream addresses), row-major.
@@ -247,48 +242,6 @@ impl SconnaEngine {
         total
     }
 
-    /// [`SconnaEngine::vdp_core`] against one prepared weight row: the
-    /// clamp, sign steering and ADC range matching all come from the
-    /// handle. Chunking, product source, noise keying and rail
-    /// conversion are shared with the raw path, which is what keeps the
-    /// two bit-identical.
-    #[inline]
-    fn vdp_core_prepared(
-        &self,
-        inputs: &[u32],
-        mags: &[u16],
-        negs: &[bool],
-        ranged: &[AdcModel],
-        key: u64,
-    ) -> f64 {
-        let scale = self.precision.stream_len() as f64;
-        let qmax = self.precision.max_value();
-        let mut total = 0.0f64;
-        for (chunk, (ichunk, (mchunk, nchunk))) in inputs
-            .chunks(self.vdpe_size)
-            .zip(mags.chunks(self.vdpe_size).zip(negs.chunks(self.vdpe_size)))
-            .enumerate()
-        {
-            let (pos, neg) = match &self.lut {
-                Some(lut) => {
-                    accumulate_rails_prepared(ichunk, mchunk, nchunk, qmax, |i, mag, k| {
-                        lut.product(i, mag, k)
-                    })
-                }
-                None => accumulate_rails_prepared(ichunk, mchunk, nchunk, qmax, |i, mag, k| {
-                    osm_product_debiased(i, mag, self.precision, k)
-                }),
-            };
-            let (pos, neg) = if self.adc.is_some() {
-                self.convert_rails(&ranged[chunk], pos, neg, key, chunk)
-            } else {
-                (pos as f64, neg as f64)
-            };
-            total += (pos - neg) * scale;
-        }
-        total
-    }
-
     /// Whether a prepared payload was derived for this engine's exact
     /// configuration (precision clamp, chunk decomposition, ADC).
     fn accepts(&self, prep: &SconnaPrepared, cols: usize) -> bool {
@@ -344,10 +297,16 @@ impl VdpEngine for SconnaEngine {
         )
     }
 
-    /// The weight-stationary tile: every `(patch, kernel)` pair runs the
-    /// prepared core under the same [`combine_keys`] derivation as the
-    /// raw paths — bit-identical to [`VdpEngine::vdp_batch`] on the same
-    /// weights (property-tested in `tests/batch_parity.rs`).
+    /// The column-stationary tile. Patches are taken in blocks of
+    /// `TILE_PATCHES` (128), copied once into a transposed, clamped column
+    /// buffer; then, per kernel and VDPE chunk, every weight element's
+    /// LUT row ([`OsmProductLut::row`]) sweeps down its patch column into
+    /// the block's positive or negative rail array, and the keyed ADC
+    /// converts each `(patch, kernel, chunk)` rail pair. Rail sums are
+    /// integers, noise keys are `combine_keys(keys[p], k)` plus the chunk
+    /// index, and each accumulator adds its chunks in ascending order —
+    /// bit-identical to [`VdpEngine::vdp_batch`] on the same weights
+    /// (property-tested in `tests/batch_parity.rs`).
     fn vdp_batch_prepared(
         &self,
         patches: &PatchMatrix,
@@ -355,25 +314,62 @@ impl VdpEngine for SconnaEngine {
         keys: &[u64],
     ) -> Vec<f64> {
         let cols = weights.cols();
-        let prep = match weights.payload::<SconnaPrepared>() {
-            // Foreign handle or one derived for a differently configured
-            // SCONNA engine: recompute from the raw weights.
-            Some(p) if self.accepts(p, cols) => p,
+        let (prep, lut) = match (weights.payload::<SconnaPrepared>(), &self.lut) {
+            (Some(p), Some(lut)) if self.accepts(p, cols) => (p, lut),
+            // Foreign handle, one derived for a differently configured
+            // SCONNA engine, or no product table (B > MAX_BITS):
+            // recompute from the raw weights.
             _ => return self.vdp_batch(patches, &weights.as_matrix(), keys),
         };
         assert_eq!(patches.cols(), cols, "patch/kernel vector length mismatch");
         assert_eq!(keys.len(), patches.rows(), "one noise key per patch");
-        let mut out = Vec::with_capacity(patches.rows() * weights.rows());
-        for (p, &pkey) in keys.iter().enumerate() {
-            let prow = patches.row(p);
-            for k in 0..weights.rows() {
-                out.push(self.vdp_core_prepared(
-                    prow,
-                    &prep.mags[k * cols..(k + 1) * cols],
-                    &prep.negs[k * cols..(k + 1) * cols],
-                    &prep.ranged,
-                    combine_keys(pkey, k as u64),
-                ));
+        let (rows, kernels) = (patches.rows(), weights.rows());
+        let scale = self.precision.stream_len() as f64;
+        let qmax = self.precision.max_value();
+        let mut out = vec![0.0f64; rows * kernels];
+        let block = TILE_PATCHES.min(rows);
+        let mut columns = vec![0u16; block * cols];
+        let (mut pos, mut neg) = (vec![0u64; block], vec![0u64; block]);
+        let mut kernel_keys = vec![0u64; block];
+        for start in (0..rows).step_by(TILE_PATCHES) {
+            let n = TILE_PATCHES.min(rows - start);
+            let columns = &mut columns[..n * cols];
+            for p in 0..n {
+                for (c, &x) in patches.row(start + p).iter().enumerate() {
+                    columns[c * n + p] = x.min(qmax) as u16;
+                }
+            }
+            for k in 0..kernels {
+                let mags = &prep.mags[k * cols..(k + 1) * cols];
+                let negs = &prep.negs[k * cols..(k + 1) * cols];
+                for (kk, &pkey) in kernel_keys.iter_mut().zip(&keys[start..start + n]) {
+                    *kk = combine_keys(pkey, k as u64);
+                }
+                for (chunk, c0) in (0..cols).step_by(self.vdpe_size).enumerate() {
+                    let (pos, neg) = (&mut pos[..n], &mut neg[..n]);
+                    pos.fill(0);
+                    neg.fill(0);
+                    for c in c0..(c0 + self.vdpe_size).min(cols) {
+                        // One weight element: its LUT row (OSM parity by
+                        // position in the chunk) sweeps its patch column.
+                        let row = lut.row(mags[c] as u32, c - c0);
+                        let rail = if negs[c] { &mut *neg } else { &mut *pos };
+                        for (acc, &x) in rail.iter_mut().zip(&columns[c * n..(c + 1) * n]) {
+                            *acc += row[x as usize] as u64;
+                        }
+                    }
+                    let accs = out[start * kernels + k..].iter_mut().step_by(kernels);
+                    for (((acc, &pk), &pv), &nv) in
+                        accs.zip(&kernel_keys[..n]).zip(&*pos).zip(&*neg)
+                    {
+                        let (pv, nv) = if self.adc.is_some() {
+                            self.convert_rails(&prep.ranged[chunk], pv, nv, pk, chunk)
+                        } else {
+                            (pv as f64, nv as f64)
+                        };
+                        *acc += (pv - nv) * scale;
+                    }
+                }
             }
         }
         out

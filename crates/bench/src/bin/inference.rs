@@ -533,6 +533,41 @@ fn main() {
         json_num(e2e_images as f64 / exact_batched),
         invariant,
     );
+    // Every gate runs before the artifact is written: a run that fails
+    // one must never become the checked-in baseline.
+    let mut failures = Vec::new();
+    if !invariant {
+        failures.push("worker-count invariance violated".to_string());
+    }
+    if !smoke {
+        // Perf-trajectory gates: the headline before/after claim (the
+        // stochastic-engine hot path that motivated this rebuild) plus
+        // regression floors for the end-to-end paths.
+        if geo_mean_sconna < 5.0 {
+            failures.push(format!(
+                "sconna before/after tile speedup collapsed: {geo_mean_sconna:.2}x < 5x"
+            ));
+        }
+        if sconna_speedup < 2.0 || exact_speedup < 1.2 {
+            failures.push(format!(
+                "batched e2e path regressed: sconna {sconna_speedup:.2}x exact {exact_speedup:.2}x"
+            ));
+        }
+        // The weight-stationary bugfix gate: hoisting the per-row-block
+        // weight derivation must not regress the exact-engine end-to-end
+        // path (0.9 floor absorbs single-core run-to-run variance; the
+        // recorded delta is the trajectory).
+        if exact_prepared_over_batched < 0.9 {
+            failures.push(format!(
+                "prepared exact e2e regressed: {exact_prepared_over_batched:.2}x vs batched"
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "gates failed, BENCH_inference.json left untouched: {}",
+        failures.join("; ")
+    );
     if smoke {
         // Smoke numbers (tiny tiles, one repeat) are not a baseline;
         // leave the checked-in full-mode record untouched so a local or
@@ -541,28 +576,5 @@ fn main() {
     } else {
         std::fs::write("BENCH_inference.json", &json).expect("write BENCH_inference.json");
         println!("\nwrote BENCH_inference.json");
-    }
-
-    assert!(invariant, "worker-count invariance violated");
-    if !smoke {
-        // Perf-trajectory gates: the headline before/after claim (the
-        // stochastic-engine hot path that motivated this rebuild) plus
-        // regression floors for the end-to-end paths.
-        assert!(
-            geo_mean_sconna >= 5.0,
-            "sconna before/after tile speedup collapsed: {geo_mean_sconna:.2}x < 5x"
-        );
-        assert!(
-            sconna_speedup >= 2.0 && exact_speedup >= 1.2,
-            "batched e2e path regressed: sconna {sconna_speedup:.2}x exact {exact_speedup:.2}x"
-        );
-        // The weight-stationary bugfix gate: hoisting the per-row-block
-        // weight derivation must not regress the exact-engine end-to-end
-        // path (0.9 floor absorbs single-core run-to-run variance; the
-        // recorded delta is the trajectory).
-        assert!(
-            exact_prepared_over_batched >= 0.9,
-            "prepared exact e2e regressed: {exact_prepared_over_batched:.2}x vs batched"
-        );
     }
 }

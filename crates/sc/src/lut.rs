@@ -123,14 +123,17 @@ impl XorHashedLut {
 ///
 /// Both pairings of
 /// [`osm_product_debiased`](crate::multiply::osm_product_debiased) are
-/// stored interleaved — entry `2·((i << B) | w)` holds the ceil (LDS ×
-/// thermometer) product, entry `2·((i << B) | w) + 1` the floor
-/// (complement) product — so the lookup is a shift-or index plus the OSM
-/// parity bit, with no table-select branch. At the paper's B = 8
-/// operating point this is the `256 × 256 × 2` u16 table (256 KiB),
-/// small enough to live in L2 next to the weights. The domain is the
-/// representable magnitudes `[0, 2^B)`; the engines clamp operands
-/// before the lookup, exactly as the hardware's `B`-bit registers do.
+/// stored **weight-major**: row `(w << 1) | parity` is the contiguous run
+/// of `2^B` products of weight magnitude `w` with every input
+/// magnitude `i`, under the ceil (LDS × thermometer, parity 0) or floor
+/// (complement, parity 1) pairing. A weight is the stationary operand
+/// (it is converted once and held while input streams sweep past it), so
+/// the engine fetches one [`OsmProductLut::row`] per weight element and
+/// indexes it by every input of a patch column. At the paper's B = 8
+/// operating point this is the `256 × 2 × 256` u16 table (256 KiB), and
+/// each row is 512 bytes. The domain is the representable magnitudes
+/// `[0, 2^B)`; the engines clamp operands before the lookup, exactly as
+/// the hardware's `B`-bit registers do.
 #[derive(Debug, Clone)]
 pub struct OsmProductLut {
     precision: Precision,
@@ -144,7 +147,7 @@ impl OsmProductLut {
     /// it faster than the closed form.
     pub const MAX_BITS: u8 = 10;
 
-    /// Generates the interleaved product table for `precision`, or
+    /// Generates the weight-major product table for `precision`, or
     /// `None` when the precision exceeds [`Self::MAX_BITS`] (callers
     /// fall back to the closed form).
     pub fn try_generate(precision: Precision) -> Option<Self> {
@@ -153,11 +156,9 @@ impl OsmProductLut {
         }
         let l = precision.stream_len() as u32;
         let mut table = Vec::with_capacity((l as usize) * (l as usize) * 2);
-        for i in 0..l {
-            for w in 0..l {
-                table.push(lds_product(i, w, precision) as u16);
-                table.push(lds_product_floor(i, w, precision) as u16);
-            }
+        for w in 0..l {
+            table.extend((0..l).map(|i| lds_product(i, w, precision) as u16));
+            table.extend((0..l).map(|i| lds_product_floor(i, w, precision) as u16));
         }
         Some(Self {
             precision,
@@ -207,22 +208,32 @@ impl OsmProductLut {
         self.precision
     }
 
+    /// The products of weight magnitude `w` with every input magnitude
+    /// `i ∈ [0, 2^B)` under OSM `osm_index`'s pairing (its parity
+    /// selects ceil or floor): `row(w, k)[i] == product(i, w, k)`. This
+    /// is the weight-stationary access — one row per weight element,
+    /// swept by a whole column of inputs.
+    ///
+    /// # Panics
+    /// Panics if `w` is outside `[0, 2^B)`.
+    #[inline]
+    pub fn row(&self, w: u32, osm_index: usize) -> &[u16] {
+        let start = (((w as usize) << 1) | (osm_index & 1)) << self.bits;
+        &self.table[start..start + (1 << self.bits)]
+    }
+
     /// Debiased OSM product by table load — equals
     /// [`osm_product_debiased`](crate::multiply::osm_product_debiased)
     /// for every operand pair in `[0, 2^B)` (property-tested). Callers
     /// clamp operands to the representable range first (the engines'
-    /// existing discipline); out-of-range operands are a debug-assert.
+    /// existing discipline); an out-of-range input is a debug-assert.
     #[inline]
     pub fn product(&self, i: u32, w: u32, osm_index: usize) -> u32 {
-        debug_assert!(
-            i < (1 << self.bits) && w < (1 << self.bits),
-            "operands out of table domain"
-        );
-        let idx = ((((i as usize) << self.bits) | w as usize) << 1) | (osm_index & 1);
-        self.table[idx] as u32
+        debug_assert!(i < (1 << self.bits), "input out of table domain");
+        self.row(w, osm_index)[i as usize] as u32
     }
 
-    /// Host-memory footprint of the interleaved table in bytes.
+    /// Host-memory footprint of the table in bytes.
     pub fn storage_bytes(&self) -> usize {
         self.table.len() * std::mem::size_of::<u16>()
     }
@@ -379,9 +390,36 @@ mod tests {
     }
 
     #[test]
+    fn product_lut_rows_match_closed_form_exhaustive_b1_to_b8() {
+        for bits in 1..=8u8 {
+            let p = Precision::new(bits);
+            let lut = OsmProductLut::generate(p);
+            let l = p.stream_len() as u32;
+            for w in 0..l {
+                for osm in 0..2 {
+                    let row = lut.row(w, osm);
+                    assert_eq!(row.len(), l as usize, "B{bits} row length");
+                    for i in 0..l {
+                        let want = osm_product_debiased(i, w, p, osm);
+                        assert_eq!(
+                            row[i as usize] as u32, want,
+                            "B{bits} i={i} w={w} osm={osm}"
+                        );
+                        assert_eq!(
+                            lut.product(i, w, osm),
+                            want,
+                            "B{bits} i={i} w={w} osm={osm}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn product_lut_b8_sizing() {
         let lut = OsmProductLut::generate(Precision::B8);
-        // The paper-shaped 256 × 256 × 2 table at 2 bytes per entry.
+        // The paper-shaped 256 × 2 × 256 table at 2 bytes per entry.
         assert_eq!(lut.storage_bytes(), 256 * 256 * 2 * 2);
         assert_eq!(lut.precision(), Precision::B8);
     }

@@ -43,12 +43,16 @@ use crate::quant::Requant;
 use crate::tensor::Tensor;
 use sconna_sim::parallel::{block_ranges, parallel_map_with};
 
-/// Target patch count per im2col block: large enough that the GEMM tile
-/// amortizes gather, dispatch and buffer setup, small enough that
-/// row-parallel layers still expose work to every worker. The row count
-/// per block derives from this and the output width alone — never from
-/// the worker count — so the block decomposition (and with it every
-/// noise key) is identical for any parallelism.
+/// Target patch count per im2col block, counted over the whole batch:
+/// large enough that the GEMM tile amortizes gather, dispatch and buffer
+/// setup, small enough that row-parallel layers still expose work to
+/// every worker. A block holds `CONV_BLOCK_PATCHES / (w_out · images)`
+/// output rows (clamped to 1..=16) of every image, so a batch of small
+/// feature maps (e.g. 16 images at 8×8) still splits into several blocks
+/// instead of one. The split derives from the geometry and batch size,
+/// never from the worker count, and every noise key depends only on
+/// (image, layer, group, output position), so the result is
+/// bit-identical for any block decomposition and any parallelism.
 const CONV_BLOCK_PATCHES: usize = 128;
 
 /// Re-fits signed weight codes onto the symmetric `bits`-bit grid:
@@ -530,7 +534,7 @@ impl QConv2d {
                 );
             }
         }
-        let rows_per_block = (CONV_BLOCK_PATCHES / geo.w_out.max(1)).clamp(1, 16);
+        let rows_per_block = (CONV_BLOCK_PATCHES / (geo.w_out.max(1) * inputs.len())).clamp(1, 16);
         let blocks = block_ranges(geo.h_out, rows_per_block);
         let slabs: Vec<Vec<T>> = parallel_map_with(blocks.clone(), workers, |rows| {
             self.eval_rows(

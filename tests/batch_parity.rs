@@ -99,6 +99,56 @@ proptest! {
         assert_batch_parity(&ExactEngine, &patches, &wm, &keys);
     }
 
+    /// The column-stationary prepared tile ≡ per-vector `vdp_keyed`, bit
+    /// for bit, across its block boundaries (0, 1, 127, 128, 129 and 300
+    /// patch rows against 128-patch blocks), odd chunk boundaries (VDPE
+    /// sizes 1, 3, 175, 176, 177), every LUT precision B1–B10 plus the
+    /// table-less B12 fallback, with and without the ADC. Operands run
+    /// past the representable range, so the clamp is exercised too.
+    #[test]
+    fn prop_prepared_tile_matches_per_vector(
+        rows_i in 0usize..6,
+        vdpe_i in 0usize..5,
+        bits_i in 0usize..11,
+        cols in 0usize..=360,
+        kernels in 1usize..=3,
+        seed in 0u64..=1000,
+        noisy in 0u8..=1,
+    ) {
+        let rows = [0usize, 1, 127, 128, 129, 300][rows_i];
+        let vdpe = [1usize, 3, 175, 176, 177][vdpe_i];
+        let bits = [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12][bits_i];
+        let qmax = Precision::new(bits).max_value();
+        let patches = PatchMatrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| (i as u32 * 37 + seed as u32) % (qmax + 3)).collect(),
+        );
+        let span = 2 * qmax as i64 + 5;
+        let wdata: Vec<i32> = (0..kernels * cols)
+            .map(|i| ((i as i64 * 53 + seed as i64) % span - span / 2) as i32)
+            .collect();
+        let wm = WeightMatrix::new(&wdata, kernels, cols);
+        let keys: Vec<u64> = (0..rows as u64).map(|p| p.wrapping_mul(seed | 1) ^ seed).collect();
+
+        let adc = (noisy == 1).then(AdcModel::sconna_default);
+        let engine = SconnaEngine::new(Precision::new(bits), vdpe, adc, seed);
+        let prepared = engine.prepare_weights(&wm);
+        let got = engine.vdp_batch_prepared(&patches, &prepared, &keys);
+        prop_assert_eq!(got.len(), rows * kernels);
+        for p in 0..rows {
+            for k in 0..kernels {
+                let want = engine.vdp_keyed(patches.row(p), wm.row(k), combine_keys(keys[p], k as u64));
+                prop_assert_eq!(
+                    got[p * kernels + k].to_bits(),
+                    want.to_bits(),
+                    "B{} vdpe {} rows {} cols {}: entry ({}, {})",
+                    bits, vdpe, rows, cols, p, k
+                );
+            }
+        }
+    }
+
     /// im2col + batched tiles ≡ per-pixel gather + single-vector calls on
     /// random conv geometries (stride / padding / groups / kernel size),
     /// and the block-parallel forward is worker-count invariant — all
@@ -285,6 +335,55 @@ proptest! {
             for workers in [1usize, 2, 8] {
                 let got = prepared.forward_batch_in(&refs, &keys, workers, &arena);
                 prop_assert_eq!(&got, &want, "round {} workers {}", round, workers);
+            }
+        }
+    }
+}
+
+/// The conv row-block split counts patches over the whole batch, so a
+/// layer with an 8×8 output splits into more blocks as the batch grows
+/// (one block up to 2 images, eight from 16). Every split must leave
+/// each image bit-equal to its own per-image `forward_keyed`, prepared or
+/// not, at any worker count.
+#[test]
+fn conv_batch_split_matches_per_image_forward_on_8x8_output() {
+    let conv = QConv2d {
+        name: "split8x8".into(),
+        weights: Tensor::from_fn(&[6, 2, 3, 3], |i| ((i as i64 * 41) % 255) as i32 - 127),
+        bias: (0..6).map(|b| b as f64 - 2.5).collect(),
+        stride: 1,
+        padding: 1,
+        groups: 2,
+        requant: unit_requant(),
+    };
+    let engine = SconnaEngine::paper_default(17);
+    let prepared = conv.prepare(&engine);
+    let images: Vec<Tensor<u32>> = (0..20u64)
+        .map(|b| Tensor::<u32>::from_fn(&[4, 8, 8], |i| ((i as u64 * 29 + b * 113) % 256) as u32))
+        .collect();
+    let keys: Vec<u64> = (0..20u64)
+        .map(|b| 0xC0FFEE ^ b.wrapping_mul(7919))
+        .collect();
+    let singles: Vec<Tensor<u32>> = images
+        .iter()
+        .zip(&keys)
+        .map(|(im, &k)| conv.forward_keyed(im, &engine, k, 1))
+        .collect();
+    assert_eq!(conv.output_hw(8, 8), (8, 8));
+    for n in 1..=20 {
+        let refs: Vec<&Tensor<u32>> = images[..n].iter().collect();
+        for workers in [1usize, 2, 8] {
+            for handles in [None, Some(prepared.as_slice())] {
+                let got = conv.forward_batch_keyed(&refs, &engine, handles, &keys[..n], workers);
+                assert_eq!(got.len(), n);
+                for (b, (g, want)) in got.iter().zip(&singles).enumerate() {
+                    assert_eq!(
+                        g.as_slice(),
+                        want.as_slice(),
+                        "batch {n} image {b} workers {workers} prepared {}",
+                        handles.is_some()
+                    );
+                }
             }
         }
     }
