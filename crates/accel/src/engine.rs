@@ -17,17 +17,28 @@
 //!
 //! The prepared tile ([`VdpEngine::vdp_batch_prepared`]) is
 //! **column-stationary**, as in the hardware, where each weight is
-//! converted once and held while input streams sweep past it. A block of
-//! patches is transposed once into clamped columns. Each weight element
-//! then fetches its own `2^B`-entry LUT row and sweeps it down its
-//! column, adding into the positive or negative rail of every patch in
-//! the block. That inner loop has no sign test, no clamp and no index
-//! arithmetic, which leaves the keyed ADC conversion (one Box-Muller
-//! draw per `(patch, kernel, chunk)`) as the largest stage of the tile.
-//! The raw [`VdpEngine::vdp_batch`] (the trait default over
+//! converted once and held while input streams sweep past it. It is also
+//! **sparse**: a block of patches is compacted once into one list per
+//! column of its nonzero `(patch, clamped input)` entries, and each weight
+//! element sweeps its `2^B`-entry LUT row down that list only, adding into
+//! the positive or negative rail of every patch in the block. A zero input
+//! is an all-zero stream in the OSM (Section IV-B) and adds no ones
+//! (`row(w, k)[0] == 0`), so the integer rails are unchanged; after ReLU,
+//! about half of a conv layer's inputs are zero.
+//!
+//! The keyed ADC conversion is **phased**. The rails of one
+//! `(kernel, chunk)` are converted in four passes: the keyed stream and
+//! the Box-Muller `u1`; the radius `r = sqrt(-2 ln u1)`; a conservative
+//! test that settles every pair whose two codes no angle can change (the
+//! noise `|σ·g| ≤ σ·r` cannot move the rail off its rounding bin, or it
+//! already saturates); and, for the undecided pairs only, `u2`, `sin_cos`
+//! and the unchanged [`AdcModel::quantize`]. The settled code is the same
+//! f64 that `quantize` returns, so the conversion stays bit-identical to
+//! [`AdcModel::convert_pair`] (the argument is on `PhasedAdc`). The
+//! raw [`VdpEngine::vdp_batch`] (the trait default over
 //! [`VdpEngine::vdp_keyed`]) stays the parity oracle.
 
-use rand::RngCore;
+use rand::{Rng, RngCore};
 use sconna_photonics::pca::AdcModel;
 use sconna_sc::lut::OsmProductLut;
 use sconna_sc::multiply::osm_product_debiased;
@@ -51,8 +62,16 @@ impl KeyedAdcStream {
     /// `(seed = B, key = A)` draw unrelated streams.
     #[inline]
     fn new(seed: u64, key: u64, lane: u64) -> Self {
+        Self::at(combine_keys(seed, key), lane)
+    }
+
+    /// The stream of chunk `lane` from a precomputed
+    /// `combine_keys(seed, key)`, shared by every chunk of one
+    /// accumulator.
+    #[inline]
+    fn at(base: u64, lane: u64) -> Self {
         Self {
-            state: combine_keys(combine_keys(seed, key), lane),
+            state: combine_keys(base, lane),
         }
     }
 }
@@ -67,9 +86,129 @@ impl RngCore for KeyedAdcStream {
 
 /// Patches per block of the column-stationary prepared tile: enough that
 /// each `2^B`-entry LUT row fetched per weight element is swept down a
-/// long column, few enough that the block's transposed copy (`128 · S`
-/// u16) and its two rail arrays stay cache-resident.
+/// long column, few enough that the block's column lists (`128 · S` u32)
+/// and its two rail arrays stay cache-resident.
 const TILE_PATCHES: usize = 128;
+
+// The sparse sweep stores a block's patch index in a `u8`.
+const _: () = assert!(TILE_PATCHES <= 1 << u8::BITS);
+
+/// Relative slack the phased ADC adds to its noise bound: far above the
+/// few ulps by which `quantize`'s f64 chain (and `x · (1/step)` against
+/// `x / step`) can stray from the exact value, far below any noise the
+/// ADC model draws.
+const ADC_SKIP_SLACK: f64 = 1e-9;
+
+/// Scratch of the phased keyed ADC: converts the rail pairs of one
+/// `(kernel, chunk)` of a tile block, each equal bit for bit to
+/// [`AdcModel::convert_pair`] on its own [`KeyedAdcStream`], but draws
+/// the Box-Muller angle (`u2` and `sin_cos`) only for pairs whose noise
+/// can still move a code.
+///
+/// The skip test is exact. A pair's Gaussians are `r·cos θ` and
+/// `r·sin θ`, so `|g| ≤ r` for every angle. For a rail `x ≥ 0`, every
+/// step from `g` to the code (`σ·g`, `1 + ·`, `x · ·`, `/ step`,
+/// `round`, `clamp`) is monotone, so every angle lands inside
+/// `y·(1 ± (|σ|·r + ADC_SKIP_SLACK))` with `y = x · (1/step)`. If the
+/// lower factor is positive and the interval lies inside one rounding
+/// bin, or wholly at or above the top code, every angle gives the same
+/// code `min(k, top)`, and the result is the same f64 `code · step` that
+/// [`AdcModel::quantize`] returns.
+struct PhasedAdc {
+    /// Keyed stream state after the `u1` draw, one per pair.
+    states: Vec<u64>,
+    /// `u1`, then the Box-Muller radius `sqrt(-2 ln u1)`, one per pair.
+    radii: Vec<f64>,
+    /// Indices of the pairs the skip test left undetermined.
+    pending: Vec<usize>,
+    /// `(sin θ, cos θ)` of each undetermined pair, in `pending` order.
+    angles: Vec<(f64, f64)>,
+}
+
+impl PhasedAdc {
+    /// Scratch for up to `pairs` rail pairs per call.
+    fn new(pairs: usize) -> Self {
+        Self {
+            states: vec![0; pairs],
+            radii: vec![0.0; pairs],
+            pending: vec![0; pairs],
+            angles: vec![(0.0, 0.0); pairs],
+        }
+    }
+
+    /// Converts the rail pairs `(pos[p], neg[p])` through `adc` into
+    /// `(pos_out[p], neg_out[p])`, with the noise of
+    /// `KeyedAdcStream::at(bases[p], lane)`. Returns how many pairs
+    /// needed the full draw.
+    fn convert(
+        &mut self,
+        adc: &AdcModel,
+        bases: &[u64],
+        lane: u64,
+        (pos, neg): (&[f64], &[f64]),
+        (pos_out, neg_out): (&mut [f64], &mut [f64]),
+    ) -> usize {
+        let n = bases.len();
+        let (states, radii) = (&mut self.states[..n], &mut self.radii[..n]);
+        // Pass 1: the keyed stream and u1, keeping the stream state.
+        for ((state, u1), &base) in states.iter_mut().zip(&mut *radii).zip(bases) {
+            let mut stream = KeyedAdcStream::at(base, lane);
+            *u1 = stream.gen_range(f64::EPSILON..1.0);
+            *state = stream.state;
+        }
+        // Pass 2: the radius.
+        for r in &mut *radii {
+            *r = (-2.0 * r.ln()).sqrt();
+        }
+        // Pass 3: the code of every pair no angle can change, written
+        // unconditionally; the undecided pairs are compacted into
+        // `pending` and overwritten in pass 4.
+        let step = adc.step_ones();
+        let inv_step = 1.0 / step;
+        let top = ((1u64 << adc.bits) - 1) as f64;
+        let sigma = adc.relative_noise_sigma.abs();
+        let mut undecided = 0;
+        let rails = pos
+            .iter()
+            .zip(neg)
+            .zip(pos_out.iter_mut())
+            .zip(neg_out.iter_mut());
+        for (p, (&r, (((&xp, &xn), qp), qn))) in radii.iter().zip(rails).enumerate() {
+            let spread = sigma * r + ADC_SKIP_SLACK;
+            let (lo, hi) = (1.0 - spread, 1.0 + spread);
+            // `k` is the bin of the interval's lower end (non-negative
+            // when `lo > 0`, so truncating `+ 0.5` rounds it). The code
+            // is settled when the upper end stays below that bin's upper
+            // edge, or when the lower end already reaches the top code.
+            let settle = |x: f64| {
+                let y = x * inv_step;
+                let t = y * lo + 0.5;
+                let k = t as i64 as f64;
+                (k.min(top) * step, (y * hi < k + 0.5) | (t >= top))
+            };
+            let (cp, settled_p) = settle(xp);
+            let (cn, settled_n) = settle(xn);
+            (*qp, *qn) = (cp, cn);
+            self.pending[undecided] = p;
+            undecided += usize::from(!((lo > 0.0) & settled_p & settled_n));
+        }
+        // Pass 4: the angle and the full conversion, for the undecided
+        // pairs only.
+        let pending = &self.pending[..undecided];
+        for (angle, &p) in self.angles.iter_mut().zip(pending) {
+            let mut stream = KeyedAdcStream { state: states[p] };
+            let u2: f64 = stream.gen_range(0.0..1.0);
+            *angle = (2.0 * std::f64::consts::PI * u2).sin_cos();
+        }
+        let sigma = adc.relative_noise_sigma;
+        for (&(sin_t, cos_t), &p) in self.angles.iter().zip(pending) {
+            let r = radii[p];
+            pos_out[p] = adc.quantize(pos[p] * (1.0 + sigma * (r * cos_t)));
+            neg_out[p] = adc.quantize(neg[p] * (1.0 + sigma * (r * sin_t)));
+        }
+        undecided
+    }
+}
 
 /// Sign-steered rail accumulation of one VDPE chunk: every element's
 /// debiased OSM product (from `product(i, |w|, osm_index)`) lands on the
@@ -297,16 +436,22 @@ impl VdpEngine for SconnaEngine {
         )
     }
 
-    /// The column-stationary tile. Patches are taken in blocks of
-    /// `TILE_PATCHES` (128), copied once into a transposed, clamped column
-    /// buffer; then, per kernel and VDPE chunk, every weight element's
-    /// LUT row ([`OsmProductLut::row`]) sweeps down its patch column into
-    /// the block's positive or negative rail array, and the keyed ADC
-    /// converts each `(patch, kernel, chunk)` rail pair. Rail sums are
-    /// integers, noise keys are `combine_keys(keys[p], k)` plus the chunk
-    /// index, and each accumulator adds its chunks in ascending order —
-    /// bit-identical to [`VdpEngine::vdp_batch`] on the same weights
-    /// (property-tested in `tests/batch_parity.rs`).
+    /// The column-stationary tile, sparse and with phased ADC draws.
+    /// Patches are taken in blocks of `TILE_PATCHES` (128). Each block is
+    /// compacted once into one list per column of its nonzero
+    /// `(patch, clamped input)` entries, which every kernel and VDPE chunk
+    /// reuses. Per kernel and chunk, every weight element's LUT row
+    /// ([`OsmProductLut::row`]) sweeps its column's list into the block's
+    /// positive or negative rail array. Skipping a zero input is exact:
+    /// `row(w, k)[0] == 0` for every weight and OSM parity, so the integer
+    /// rails do not change. The block's rail pairs then go through the
+    /// phased keyed ADC (`PhasedAdc`), which draws `sin_cos` only for
+    /// the pairs whose noise can still move a code and returns the same
+    /// f64 as [`AdcModel::convert_pair`] for every pair. Noise keys are
+    /// `combine_keys(keys[p], k)` plus the chunk index, and each
+    /// accumulator adds its chunks in ascending order — bit-identical to
+    /// [`VdpEngine::vdp_batch`] on the same weights (property-tested in
+    /// `tests/batch_parity.rs`).
     fn vdp_batch_prepared(
         &self,
         patches: &PatchMatrix,
@@ -328,45 +473,67 @@ impl VdpEngine for SconnaEngine {
         let qmax = self.precision.max_value();
         let mut out = vec![0.0f64; rows * kernels];
         let block = TILE_PATCHES.min(rows);
-        let mut columns = vec![0u16; block * cols];
-        let (mut pos, mut neg) = (vec![0u64; block], vec![0u64; block]);
-        let mut kernel_keys = vec![0u64; block];
+        // Column c's nonzero entries are `entries[c * n..ends[c]]`.
+        let mut entries = vec![0u32; block * cols];
+        let mut ends = vec![0usize; cols];
+        // One rail slot per `u8` patch index, so the sweep needs no bounds
+        // check on its rail updates.
+        let (mut pos, mut neg) = ([0u64; 1 << u8::BITS], [0u64; 1 << u8::BITS]);
+        let (mut pos_f, mut neg_f) = (vec![0.0f64; block], vec![0.0f64; block]);
+        let (mut pos_q, mut neg_q) = (vec![0.0f64; block], vec![0.0f64; block]);
+        let mut stream_bases = vec![0u64; block];
+        let mut adc = PhasedAdc::new(block);
         for start in (0..rows).step_by(TILE_PATCHES) {
             let n = TILE_PATCHES.min(rows - start);
-            let columns = &mut columns[..n * cols];
+            // Every input is written at its column's cursor, which
+            // advances only past a nonzero one: a zero is overwritten by
+            // the column's next nonzero input, or left past its end.
+            for (end, c) in ends.iter_mut().zip((0..).step_by(n)) {
+                *end = c;
+            }
             for p in 0..n {
-                for (c, &x) in patches.row(start + p).iter().enumerate() {
-                    columns[c * n + p] = x.min(qmax) as u16;
+                for (end, &x) in ends.iter_mut().zip(patches.row(start + p)) {
+                    entries[*end] = x.min(qmax) << 8 | p as u32;
+                    *end += usize::from(x != 0);
                 }
             }
             for k in 0..kernels {
                 let mags = &prep.mags[k * cols..(k + 1) * cols];
                 let negs = &prep.negs[k * cols..(k + 1) * cols];
-                for (kk, &pkey) in kernel_keys.iter_mut().zip(&keys[start..start + n]) {
-                    *kk = combine_keys(pkey, k as u64);
+                for (base, &pkey) in stream_bases.iter_mut().zip(&keys[start..start + n]) {
+                    *base = combine_keys(self.seed, combine_keys(pkey, k as u64));
                 }
                 for (chunk, c0) in (0..cols).step_by(self.vdpe_size).enumerate() {
-                    let (pos, neg) = (&mut pos[..n], &mut neg[..n]);
-                    pos.fill(0);
-                    neg.fill(0);
+                    pos[..n].fill(0);
+                    neg[..n].fill(0);
                     for c in c0..(c0 + self.vdpe_size).min(cols) {
                         // One weight element: its LUT row (OSM parity by
-                        // position in the chunk) sweeps its patch column.
+                        // position in the chunk) sweeps the nonzero
+                        // entries of its patch column.
                         let row = lut.row(mags[c] as u32, c - c0);
-                        let rail = if negs[c] { &mut *neg } else { &mut *pos };
-                        for (acc, &x) in rail.iter_mut().zip(&columns[c * n..(c + 1) * n]) {
-                            *acc += row[x as usize] as u64;
+                        let rail = if negs[c] { &mut neg } else { &mut pos };
+                        for &e in &entries[c * n..ends[c]] {
+                            rail[usize::from(e as u8)] += u64::from(row[(e >> 8) as usize]);
                         }
                     }
+                    for (f, &v) in pos_f.iter_mut().zip(&pos[..n]) {
+                        *f = v as f64;
+                    }
+                    for (f, &v) in neg_f.iter_mut().zip(&neg[..n]) {
+                        *f = v as f64;
+                    }
+                    let (pos, neg) = match &self.adc {
+                        Some(_) => {
+                            let q = (&mut pos_q[..n], &mut neg_q[..n]);
+                            let rails = (&pos_f[..n], &neg_f[..n]);
+                            let bases = &stream_bases[..n];
+                            adc.convert(&prep.ranged[chunk], bases, chunk as u64, rails, q);
+                            (&pos_q[..n], &neg_q[..n])
+                        }
+                        None => (&pos_f[..n], &neg_f[..n]),
+                    };
                     let accs = out[start * kernels + k..].iter_mut().step_by(kernels);
-                    for (((acc, &pk), &pv), &nv) in
-                        accs.zip(&kernel_keys[..n]).zip(&*pos).zip(&*neg)
-                    {
-                        let (pv, nv) = if self.adc.is_some() {
-                            self.convert_rails(&prep.ranged[chunk], pv, nv, pk, chunk)
-                        } else {
-                            (pv as f64, nv as f64)
-                        };
+                    for ((acc, &pv), &nv) in accs.zip(pos).zip(neg) {
                         *acc += (pv - nv) * scale;
                     }
                 }
@@ -553,6 +720,90 @@ mod tests {
             b8.vdp_batch_prepared(&patches, &exact_handle, &[1, 2]),
             b8.vdp_batch(&patches, &wm, &[1, 2]),
         );
+    }
+
+    /// One rail of the phased-ADC property test, picked by a keyed hash:
+    /// zero, a count within a few ulps or within 1e-6 of a rounding
+    /// boundary, a saturating count, an integer count, or any count up
+    /// to 1.2× full scale.
+    fn adc_test_rail(adc: &AdcModel, h: u64) -> f64 {
+        let step = adc.step_ones();
+        let codes = 1u64 << adc.bits;
+        let boundary = ((h >> 8) % (codes + 1)) as f64 + 0.5;
+        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+        match h % 6 {
+            0 => 0.0,
+            1 => {
+                let x = boundary * step;
+                f64::from_bits((x.to_bits() as i64 + (h >> 40) as i64 % 9 - 4) as u64)
+            }
+            2 => boundary * step + (unit - 0.5) * 2e-6,
+            3 => (codes as f64 + unit * codes as f64) * step,
+            4 => ((h >> 20) % (adc.full_scale_ones + 1)) as f64,
+            _ => unit * 1.2 * adc.full_scale_ones as f64,
+        }
+    }
+
+    proptest::proptest! {
+        /// The phased conversion ≡ `AdcModel::convert_pair` on the same
+        /// keyed stream, bit for bit, for every rail kind, noise level
+        /// (σ = 0, the paper's 0.0145, 0.2 and 1.5, where `1 - σ·r` goes
+        /// negative) and ADC resolution B1–B12.
+        #[test]
+        fn prop_phased_adc_matches_convert_pair(
+            bits in 1u8..=12,
+            sigma_i in 0usize..4,
+            full_scale in 1u64..=180_224,
+            pairs in 1usize..=64,
+            seed in 0u64..=u64::MAX,
+            lane in 0u64..4,
+        ) {
+            let adc = AdcModel {
+                bits,
+                full_scale_ones: full_scale,
+                relative_noise_sigma: [0.0, 0.0145, 0.2, 1.5][sigma_i],
+            };
+            let keys: Vec<u64> = (0..pairs as u64).map(|p| mix_key(seed ^ p)).collect();
+            let pos: Vec<f64> = keys.iter().map(|&k| adc_test_rail(&adc, mix_key(k))).collect();
+            let neg: Vec<f64> = keys.iter().map(|&k| adc_test_rail(&adc, mix_key(!k))).collect();
+            let bases: Vec<u64> = keys.iter().map(|&k| combine_keys(seed, k)).collect();
+            let (mut pos_q, mut neg_q) = (vec![0.0; pairs], vec![0.0; pairs]);
+            PhasedAdc::new(pairs).convert(&adc, &bases, lane, (&pos, &neg), (&mut pos_q, &mut neg_q));
+            for p in 0..pairs {
+                let mut stream = KeyedAdcStream::new(seed, keys[p], lane);
+                let (want_p, want_n) = adc.convert_pair(pos[p], neg[p], &mut stream);
+                proptest::prop_assert_eq!(
+                    (pos_q[p].to_bits(), neg_q[p].to_bits()),
+                    (want_p.to_bits(), want_n.to_bits()),
+                    "B{} σ {} fs {}: rails ({}, {})",
+                    bits, adc.relative_noise_sigma, full_scale, pos[p], neg[p]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn phased_adc_skips_the_angle_where_noise_cannot_move_a_code() {
+        // Zero rails always settle, and at the paper's noise level so do
+        // small counts away from a boundary; a count on a boundary never
+        // does.
+        let adc = AdcModel {
+            full_scale_ones: 27 * 256,
+            ..AdcModel::sconna_default()
+        };
+        let step = adc.step_ones();
+        let bases: Vec<u64> = (0..64).map(mix_key).collect();
+        let mut phased = PhasedAdc::new(64);
+        let (mut pos_q, mut neg_q) = (vec![0.0; 64], vec![0.0; 64]);
+        let zeros = vec![0.0; 64];
+        let q = (&mut pos_q[..], &mut neg_q[..]);
+        assert_eq!(phased.convert(&adc, &bases, 0, (&zeros, &zeros), q), 0);
+        let small = vec![3.0 * step; 64];
+        let q = (&mut pos_q[..], &mut neg_q[..]);
+        assert!(phased.convert(&adc, &bases, 0, (&small, &zeros), q) < 8);
+        let edge = vec![3.5 * step; 64];
+        let q = (&mut pos_q[..], &mut neg_q[..]);
+        assert_eq!(phased.convert(&adc, &bases, 0, (&edge, &zeros), q), 64);
     }
 
     #[test]

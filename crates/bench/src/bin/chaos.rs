@@ -342,15 +342,6 @@ fn main() {
         invariant,
         accel_json.join(",\n"),
     );
-    if smoke {
-        // Smoke numbers (tiny sweep, few requests) are not a baseline;
-        // the checked-in record is always a full-mode run.
-        println!("\nsmoke mode: BENCH_chaos.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-        println!("\nwrote BENCH_chaos.json");
-    }
-
     // The availability gates hold in both modes.
     for curve in &grid {
         let u = &curve.unsupervised[mid].report;
@@ -411,5 +402,15 @@ fn main() {
                 curve.name
             );
         }
+    }
+
+    // Every gate has passed: only now may the artifact be written.
+    if smoke {
+        // Smoke numbers (tiny sweep, few requests) are not a baseline;
+        // the checked-in record is always a full-mode run.
+        println!("\nsmoke mode: BENCH_chaos.json (full-mode baseline) left untouched");
+    } else {
+        std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
+        println!("\nwrote BENCH_chaos.json");
     }
 }

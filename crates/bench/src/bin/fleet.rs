@@ -336,15 +336,6 @@ fn main() {
         shuffle_invariant,
         worker_invariant,
     );
-    if smoke {
-        // Smoke numbers (reduced grid) are not a baseline; the
-        // checked-in record is always a full-mode run.
-        println!("smoke mode: BENCH_fleet.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-        println!("wrote BENCH_fleet.json");
-    }
-
     // ---- Acceptance gates (both modes) ----
     for (name, fps_linearity, events_rate_retention, points) in &curves {
         // Simulated FPS is deterministic: near-linear scaling is a hard
@@ -385,4 +376,14 @@ fn main() {
         auto_report.completed, auto_report.offered,
         "the autoscaled fleet must serve every request of the trace"
     );
+
+    // Every gate has passed: only now may the artifact be written.
+    if smoke {
+        // Smoke numbers (reduced grid) are not a baseline; the
+        // checked-in record is always a full-mode run.
+        println!("smoke mode: BENCH_fleet.json (full-mode baseline) left untouched");
+    } else {
+        std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
+        println!("wrote BENCH_fleet.json");
+    }
 }

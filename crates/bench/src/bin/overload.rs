@@ -286,15 +286,6 @@ fn main() {
         invariant,
         policy_json.join(",\n"),
     );
-    if smoke {
-        // Smoke numbers (tiny sweep, few requests) are not a baseline;
-        // the checked-in record is always a full-mode run.
-        println!("\nsmoke mode: BENCH_overload.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_overload.json", &json).expect("write BENCH_overload.json");
-        println!("\nwrote BENCH_overload.json");
-    }
-
     // The shedding gates hold in both modes: past the knee the bounded
     // queue must actually shed, each policy in its own way.
     assert!(
@@ -345,5 +336,15 @@ fn main() {
             dg_o.report.accuracy_under_load,
             dg_u.report.accuracy_under_load
         );
+    }
+
+    // Every gate has passed: only now may the artifact be written.
+    if smoke {
+        // Smoke numbers (tiny sweep, few requests) are not a baseline;
+        // the checked-in record is always a full-mode run.
+        println!("\nsmoke mode: BENCH_overload.json (full-mode baseline) left untouched");
+    } else {
+        std::fs::write("BENCH_overload.json", &json).expect("write BENCH_overload.json");
+        println!("\nwrote BENCH_overload.json");
     }
 }

@@ -376,15 +376,6 @@ fn main() {
         json_num(swap_asymmetry),
         worker_invariant,
     );
-    if smoke {
-        // Smoke numbers (reduced grid) are not a baseline; the
-        // checked-in record is always a full-mode run.
-        println!("smoke mode: BENCH_tenants.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_tenants.json", &json).expect("write BENCH_tenants.json");
-        println!("wrote BENCH_tenants.json");
-    }
-
     // ---- Acceptance gates (both modes) ----
     assert!(
         wfq_ratio <= 1.2,
@@ -398,4 +389,14 @@ fn main() {
         swap_asymmetry >= 100.0,
         "MAM's cell-programming swaps must dwarf SCONNA's LUT repointing, got {swap_asymmetry:.1}x"
     );
+
+    // Every gate has passed: only now may the artifact be written.
+    if smoke {
+        // Smoke numbers (reduced grid) are not a baseline; the
+        // checked-in record is always a full-mode run.
+        println!("smoke mode: BENCH_tenants.json (full-mode baseline) left untouched");
+    } else {
+        std::fs::write("BENCH_tenants.json", &json).expect("write BENCH_tenants.json");
+        println!("wrote BENCH_tenants.json");
+    }
 }

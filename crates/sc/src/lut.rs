@@ -417,6 +417,22 @@ mod tests {
     }
 
     #[test]
+    fn product_lut_rows_start_with_zero_b1_to_b10() {
+        // A zero input is an all-zero stream: it adds no ones under any
+        // weight or OSM pairing, which is what lets the prepared tile
+        // skip zero activations.
+        for bits in 1..=OsmProductLut::MAX_BITS {
+            let p = Precision::new(bits);
+            let lut = OsmProductLut::generate(p);
+            for w in 0..p.stream_len() as u32 {
+                for osm in 0..2 {
+                    assert_eq!(lut.row(w, osm)[0], 0, "B{bits} w={w} osm={osm}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn product_lut_b8_sizing() {
         let lut = OsmProductLut::generate(Precision::B8);
         // The paper-shaped 256 × 2 × 256 table at 2 bytes per entry.

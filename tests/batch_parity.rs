@@ -11,7 +11,9 @@ use sconna::accel::SconnaEngine;
 use sconna::photonics::pca::AdcModel;
 use sconna::sc::Precision;
 use sconna::tensor::arena::BatchArena;
-use sconna::tensor::engine::{combine_keys, ExactEngine, PatchMatrix, VdpEngine, WeightMatrix};
+use sconna::tensor::engine::{
+    combine_keys, mix_key, ExactEngine, PatchMatrix, VdpEngine, WeightMatrix,
+};
 use sconna::tensor::layers::QConv2d;
 use sconna::tensor::quant::{ActivationQuant, Requant, WeightQuant};
 use sconna::tensor::Tensor;
@@ -103,8 +105,10 @@ proptest! {
     /// for bit, across its block boundaries (0, 1, 127, 128, 129 and 300
     /// patch rows against 128-patch blocks), odd chunk boundaries (VDPE
     /// sizes 1, 3, 175, 176, 177), every LUT precision B1–B10 plus the
-    /// table-less B12 fallback, with and without the ADC. Operands run
-    /// past the representable range, so the clamp is exercised too.
+    /// table-less B12 fallback, with and without the ADC, and at 0 %,
+    /// 50 %, 90 % and 100 % zero inputs (the sparse sweep skips zeros).
+    /// Operands run past the representable range, so the clamp is
+    /// exercised too.
     #[test]
     fn prop_prepared_tile_matches_per_vector(
         rows_i in 0usize..6,
@@ -114,15 +118,22 @@ proptest! {
         kernels in 1usize..=3,
         seed in 0u64..=1000,
         noisy in 0u8..=1,
+        zeros_i in 0usize..4,
     ) {
         let rows = [0usize, 1, 127, 128, 129, 300][rows_i];
+        let zero_tenths = [0u64, 5, 9, 10][zeros_i];
         let vdpe = [1usize, 3, 175, 176, 177][vdpe_i];
         let bits = [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12][bits_i];
         let qmax = Precision::new(bits).max_value();
         let patches = PatchMatrix::from_vec(
             rows,
             cols,
-            (0..rows * cols).map(|i| (i as u32 * 37 + seed as u32) % (qmax + 3)).collect(),
+            (0..rows * cols)
+                .map(|i| {
+                    let zero = mix_key(i as u64 ^ seed << 32) % 10 < zero_tenths;
+                    if zero { 0 } else { (i as u32 * 37 + seed as u32) % (qmax + 3) }
+                })
+                .collect(),
         );
         let span = 2 * qmax as i64 + 5;
         let wdata: Vec<i32> = (0..kernels * cols)
@@ -142,8 +153,8 @@ proptest! {
                 prop_assert_eq!(
                     got[p * kernels + k].to_bits(),
                     want.to_bits(),
-                    "B{} vdpe {} rows {} cols {}: entry ({}, {})",
-                    bits, vdpe, rows, cols, p, k
+                    "B{} vdpe {} rows {} cols {} zeros {}/10: entry ({}, {})",
+                    bits, vdpe, rows, cols, zero_tenths, p, k
                 );
             }
         }
