@@ -354,6 +354,32 @@ pub enum ServingConfigError {
         /// Number of models provided.
         models: usize,
     },
+    /// An empty model slice.
+    NoModels,
+    /// A functional fleet whose workload slice disagrees in length
+    /// with its model slice.
+    WorkloadCountMismatch {
+        /// Number of models provided.
+        models: usize,
+        /// Number of functional workloads provided.
+        workloads: usize,
+    },
+    /// A functional workload with an empty sample set.
+    NoSamples {
+        /// Index of the offending workload's model.
+        model: usize,
+    },
+    /// A functional workload with `workers == 0`.
+    ZeroWorkers {
+        /// Index of the offending workload's model.
+        model: usize,
+    },
+    /// [`AdmissionPolicy::Degrade`] on a functional workload without a
+    /// fallback network.
+    MissingFallback {
+        /// Index of the offending workload's model.
+        model: usize,
+    },
 }
 
 impl std::fmt::Display for ServingConfigError {
@@ -402,6 +428,21 @@ impl std::fmt::Display for ServingConfigError {
             } => write!(
                 f,
                 "tenant {tenant:?} names model {model} of a {models}-model slice"
+            ),
+            Self::NoModels => write!(f, "need at least one model"),
+            Self::WorkloadCountMismatch { models, workloads } => write!(
+                f,
+                "one functional workload per model ({workloads} workloads for {models} models)"
+            ),
+            Self::NoSamples { model } => {
+                write!(f, "functional serving needs samples (model {model})")
+            }
+            Self::ZeroWorkers { model } => {
+                write!(f, "need at least one worker (model {model})")
+            }
+            Self::MissingFallback { model } => write!(
+                f,
+                "Degrade admission requires FunctionalWorkload::fallback (model {model})"
             ),
         }
     }

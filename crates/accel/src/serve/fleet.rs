@@ -138,10 +138,6 @@ impl<'a> FunctionalExec<'a> {
         requests: usize,
         degrading: bool,
     ) -> Self {
-        for w in &workloads {
-            assert!(!w.samples.is_empty(), "functional serving needs samples");
-            assert!(w.workers > 0, "need at least one worker");
-        }
         let fallback = if degrading {
             Some(
                 (0..instances)
@@ -150,7 +146,7 @@ impl<'a> FunctionalExec<'a> {
                             .iter()
                             .map(|w| {
                                 let fb = w.fallback.expect(
-                                    "invariant: Degrade admission requires FunctionalWorkload::fallback (documented)",
+                                    "invariant: Fleet::build rejects Degrade without a fallback",
                                 );
                                 let engine = w.fallback_engine.unwrap_or(w.engine);
                                 PreparedNetwork::new(fb, engine)
@@ -1949,11 +1945,6 @@ impl<'a> Fleet<'a> {
         models: &[&'a CnnModel],
         workloads: &[&'a FunctionalWorkload<'a>],
     ) -> Result<Self, ServingConfigError> {
-        assert_eq!(
-            models.len(),
-            workloads.len(),
-            "one functional workload per model"
-        );
         Self::build(config, models.to_vec(), Some(workloads.to_vec()))
     }
 
@@ -1963,7 +1954,29 @@ impl<'a> Fleet<'a> {
         workloads: Option<Vec<&'a FunctionalWorkload<'a>>>,
     ) -> Result<Self, ServingConfigError> {
         config.validate()?;
-        assert!(!models.is_empty(), "need at least one model");
+        if models.is_empty() {
+            return Err(ServingConfigError::NoModels);
+        }
+        let degrading = matches!(config.admission, AdmissionPolicy::Degrade { .. });
+        if let Some(ws) = &workloads {
+            if ws.len() != models.len() {
+                return Err(ServingConfigError::WorkloadCountMismatch {
+                    models: models.len(),
+                    workloads: ws.len(),
+                });
+            }
+            for (model, w) in ws.iter().enumerate() {
+                if w.samples.is_empty() {
+                    return Err(ServingConfigError::NoSamples { model });
+                }
+                if w.workers == 0 {
+                    return Err(ServingConfigError::ZeroWorkers { model });
+                }
+                if degrading && w.fallback.is_none() {
+                    return Err(ServingConfigError::MissingFallback { model });
+                }
+            }
+        }
 
         // A single-tenant run is a one-tenant roster carrying the
         // config's own arrival process and budget: the legacy path *is*
@@ -1989,7 +2002,6 @@ impl<'a> Fleet<'a> {
             }
         }
 
-        let degrading = matches!(config.admission, AdmissionPolicy::Degrade { .. });
         let degraded_accel = if let AdmissionPolicy::Degrade { fallback_bits } = config.admission {
             Some(config.accelerator.with_native_bits(fallback_bits))
         } else {

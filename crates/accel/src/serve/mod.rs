@@ -1502,5 +1502,55 @@ mod tests {
             .expect("out-of-range model index")
             .to_string();
         assert!(err.contains("names model 3 of a 1-model slice"), "{err:?}");
+
+        // Model and workload slices are checked before any instance
+        // prepares a network.
+        let (net, samples) = tiny_workload();
+        let engine = SconnaEngine::paper_default(5);
+        let good = FunctionalWorkload {
+            net: &net,
+            fallback: None,
+            fallback_engine: None,
+            samples: &samples,
+            engine: &engine,
+            workers: 1,
+        };
+        let no_samples = FunctionalWorkload {
+            samples: &[],
+            ..good
+        };
+        let no_workers = FunctionalWorkload { workers: 0, ..good };
+        let cfg = small_closed(1, 4, 8);
+        let degrade =
+            small_closed(1, 4, 8).with_admission(AdmissionPolicy::Degrade { fallback_bits: 4 });
+        let cases: [(&ServingConfig, &[&CnnModel], &[&FunctionalWorkload], &str); 5] = [
+            (&cfg, &[], &[], "need at least one model"),
+            (
+                &cfg,
+                &[&model],
+                &[&good, &good],
+                "one functional workload per model (2 workloads for 1 models)",
+            ),
+            (
+                &cfg,
+                &[&model],
+                &[&no_samples],
+                "functional serving needs samples",
+            ),
+            (&cfg, &[&model], &[&no_workers], "need at least one worker"),
+            (
+                &degrade,
+                &[&model],
+                &[&good],
+                "Degrade admission requires FunctionalWorkload::fallback",
+            ),
+        ];
+        for (cfg, models, workloads, want) in cases {
+            let err = Fleet::try_new_multi_functional(cfg, models, workloads)
+                .err()
+                .expect(want)
+                .to_string();
+            assert!(err.contains(want), "{err:?} should contain {want:?}");
+        }
     }
 }

@@ -1,10 +1,9 @@
 //! Criterion micro-benchmarks over the event-driven simulator core:
-//! event-queue throughput, energy-ledger accounting and NoC routing.
+//! event-queue throughput and energy-ledger accounting.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use sconna_sim::energy::{ComponentSpec, EnergyLedger};
 use sconna_sim::event::EventQueue;
-use sconna_sim::noc::MeshNoc;
 use sconna_sim::time::SimTime;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -56,20 +55,5 @@ fn bench_energy_ledger(c: &mut Criterion) {
     });
 }
 
-fn bench_noc(c: &mut Criterion) {
-    let mesh = MeshNoc::new(8, 8, SimTime::from_ns(2), 32e9);
-    c.bench_function("noc_all_pairs_latency_8x8", |b| {
-        b.iter(|| {
-            let mut total = SimTime::ZERO;
-            for from in 0..mesh.tiles() {
-                for to in 0..mesh.tiles() {
-                    total += mesh.transfer_latency(mesh.coord(from), mesh.coord(to), 64);
-                }
-            }
-            black_box(total)
-        });
-    });
-}
-
-criterion_group!(benches, bench_event_queue, bench_energy_ledger, bench_noc);
+criterion_group!(benches, bench_event_queue, bench_energy_ledger);
 criterion_main!(benches);

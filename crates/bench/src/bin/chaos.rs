@@ -32,7 +32,7 @@ use sconna_accel::serve::{
     chaos_sweep, simulate_serving, ChaosPoint, FailureProcess, ServingConfig, ServingReport,
     Supervisor,
 };
-use sconna_bench::banner;
+use sconna_bench::{banner, json_num, write_baseline};
 use sconna_sim::stats::GoodputSamples;
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::{googlenet, shufflenet_v2};
@@ -42,14 +42,6 @@ use sconna_tensor::models::{googlenet, shufflenet_v2};
 const PROCESS_SEED: u64 = 2023;
 /// Root of the supervisor's backoff-jitter stream.
 const SUPERVISOR_SEED: u64 = 31;
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
 
 /// Responses (full-fidelity + degraded) over offered traffic — the
 /// served fraction a client population observes.
@@ -405,12 +397,5 @@ fn main() {
     }
 
     // Every gate has passed: only now may the artifact be written.
-    if smoke {
-        // Smoke numbers (tiny sweep, few requests) are not a baseline;
-        // the checked-in record is always a full-mode run.
-        println!("\nsmoke mode: BENCH_chaos.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-        println!("\nwrote BENCH_chaos.json");
-    }
+    write_baseline("BENCH_chaos.json", smoke, &json);
 }

@@ -25,20 +25,12 @@
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::serve::{sweep, AutoscalePolicy, Fleet, ServingConfig};
 use sconna_accel::serve::{ArrivalProcess, ServingReport};
-use sconna_bench::banner;
+use sconna_bench::{banner, json_num, write_baseline};
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::{shufflenet_v2, CnnModel};
 use std::time::Instant;
 
 const MAX_BATCH: usize = 4;
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
 
 /// One scaling-grid measurement: a closed-loop saturation run at a fixed
 /// request-per-instance budget, timed on the wall clock.
@@ -378,12 +370,5 @@ fn main() {
     );
 
     // Every gate has passed: only now may the artifact be written.
-    if smoke {
-        // Smoke numbers (reduced grid) are not a baseline; the
-        // checked-in record is always a full-mode run.
-        println!("smoke mode: BENCH_fleet.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-        println!("wrote BENCH_fleet.json");
-    }
+    write_baseline("BENCH_fleet.json", smoke, &json);
 }

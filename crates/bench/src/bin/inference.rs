@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use sconna_accel::engine::SconnaEngine;
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::perf::simulate_inference;
-use sconna_bench::banner;
+use sconna_bench::{banner, json_num, write_baseline};
 use sconna_photonics::pca::AdcModel;
 use sconna_sc::multiply::osm_product_debiased;
 use sconna_sc::Precision;
@@ -329,14 +329,6 @@ impl E2eNet {
     }
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     print!(
@@ -568,13 +560,5 @@ fn main() {
         "gates failed, BENCH_inference.json left untouched: {}",
         failures.join("; ")
     );
-    if smoke {
-        // Smoke numbers (tiny tiles, one repeat) are not a baseline;
-        // leave the checked-in full-mode record untouched so a local or
-        // CI smoke run can never clobber the perf trajectory.
-        println!("\nsmoke mode: BENCH_inference.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_inference.json", &json).expect("write BENCH_inference.json");
-        println!("\nwrote BENCH_inference.json");
-    }
+    write_baseline("BENCH_inference.json", smoke, &json);
 }

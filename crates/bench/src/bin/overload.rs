@@ -29,7 +29,7 @@ use sconna_accel::serve::{
     overload_sweep, simulate_serving, AdmissionPolicy, FunctionalWorkload, OverloadPoint,
     ServingConfig,
 };
-use sconna_bench::banner;
+use sconna_bench::{banner, json_num, write_baseline};
 use sconna_photonics::pca::AdcModel;
 use sconna_sc::Precision;
 use sconna_sim::time::SimTime;
@@ -40,14 +40,6 @@ use sconna_tensor::smallcnn::{SmallCnn, SmallCnnConfig};
 
 /// Precision of the degrade-policy fallback model and its engine.
 const FALLBACK_BITS: u8 = 4;
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
 
 fn point_json(p: &OverloadPoint, capacity: f64) -> String {
     let s = &p.report.serving;
@@ -339,12 +331,5 @@ fn main() {
     }
 
     // Every gate has passed: only now may the artifact be written.
-    if smoke {
-        // Smoke numbers (tiny sweep, few requests) are not a baseline;
-        // the checked-in record is always a full-mode run.
-        println!("\nsmoke mode: BENCH_overload.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_overload.json", &json).expect("write BENCH_overload.json");
-        println!("\nwrote BENCH_overload.json");
-    }
+    write_baseline("BENCH_overload.json", smoke, &json);
 }

@@ -26,19 +26,11 @@
 use sconna_accel::organization::AcceleratorConfig;
 use sconna_accel::serve::{sweep, ArrivalProcess, Fleet, ServingConfig, ServingReport};
 use sconna_accel::serve::{TenantScheduler, TenantSpec};
-use sconna_bench::banner;
+use sconna_bench::{banner, json_num, write_baseline};
 use sconna_sim::time::SimTime;
 use sconna_tensor::models::{googlenet, shufflenet_v2};
 
 const SEED: u64 = 23;
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".into()
-    }
-}
 
 fn us(t: SimTime) -> f64 {
     t.as_secs_f64() * 1e6
@@ -391,12 +383,5 @@ fn main() {
     );
 
     // Every gate has passed: only now may the artifact be written.
-    if smoke {
-        // Smoke numbers (reduced grid) are not a baseline; the
-        // checked-in record is always a full-mode run.
-        println!("smoke mode: BENCH_tenants.json (full-mode baseline) left untouched");
-    } else {
-        std::fs::write("BENCH_tenants.json", &json).expect("write BENCH_tenants.json");
-        println!("wrote BENCH_tenants.json");
-    }
+    write_baseline("BENCH_tenants.json", smoke, &json);
 }

@@ -27,6 +27,29 @@ pub fn banner(experiment: &str, paper_ref: &str) -> String {
     )
 }
 
+/// Formats a JSON number at 4 decimals; non-finite values become
+/// `null`, which JSON has no number for.
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.4}")
+    } else {
+        "null".into()
+    }
+}
+
+/// Writes a bench's `BENCH_*.json` baseline to `path`, or, in smoke
+/// mode, leaves it untouched: smoke numbers are not a baseline, and the
+/// checked-in record is always a full-mode run. Call only after every
+/// gate has passed.
+pub fn write_baseline(path: &str, smoke: bool, json: &str) {
+    if smoke {
+        println!("\nsmoke mode: {path} (full-mode baseline) left untouched");
+    } else {
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("\nwrote {path}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,5 +66,15 @@ mod tests {
         let s = format_kv(&[("a", "1".into()), ("long-key", "2".into())]);
         assert!(s.contains("a         1"));
         assert!(s.contains("long-key  2"));
+    }
+
+    #[test]
+    fn json_num_is_four_decimals_or_null() {
+        assert_eq!(json_num(1.0), "1.0000");
+        assert_eq!(json_num(0.123456), "0.1235");
+        assert_eq!(json_num(-2.5), "-2.5000");
+        assert_eq!(json_num(f64::NAN), "null");
+        assert_eq!(json_num(f64::INFINITY), "null");
+        assert_eq!(json_num(f64::NEG_INFINITY), "null");
     }
 }

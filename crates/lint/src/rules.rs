@@ -524,7 +524,7 @@ mod tests {
             rules_fired("tests/t.rs", "unsafe { x() }"),
             vec!["forbid-unsafe"]
         );
-        assert!(rules_fired("crates/compat/parking_lot/src/lib.rs", "unsafe { x() }").is_empty());
+        assert!(rules_fired("crates/compat/crossbeam/src/lib.rs", "unsafe { x() }").is_empty());
     }
 
     #[test]

@@ -238,7 +238,7 @@ fn unsafe_fixture_fires() {
 #[test]
 fn unsafe_fixture_is_exempt_in_compat() {
     let findings = lint_source(
-        "crates/compat/parking_lot/src/lib.rs",
+        "crates/compat/crossbeam/src/lib.rs",
         include_str!("../fixtures/unsafe_code.rs"),
     );
     assert!(findings.is_empty(), "compat may use unsafe: {findings:?}");

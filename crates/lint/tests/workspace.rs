@@ -15,6 +15,26 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// Every crate manifest of the workspace: the root (the facade package
+/// shares the file with `[workspace]`) plus each `members` entry of the
+/// root manifest, so an added or deleted crate is covered automatically.
+fn crate_manifests(root_manifest: &str) -> Vec<String> {
+    let members = root_manifest
+        .split_once("\nmembers = [")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map(|(list, _)| list)
+        .expect("invariant: the root manifest lists its workspace members");
+    std::iter::once("Cargo.toml".to_string())
+        .chain(
+            members
+                .split('"')
+                .skip(1)
+                .step_by(2)
+                .map(|m| format!("{m}/Cargo.toml")),
+        )
+        .collect()
+}
+
 /// The whole workspace must lint clean — zero violations, zero
 /// unexplained or stale suppressions. This is the mechanical lock-in of
 /// the invariants PRs 3–5 proved dynamically.
@@ -93,24 +113,12 @@ fn workspace_lints_table_is_pinned() {
     );
 
     // Every crate manifest must inherit the workspace lints table.
-    let manifests = [
-        "Cargo.toml", // the root facade package shares the file with [workspace]
-        "crates/sc/Cargo.toml",
-        "crates/photonics/Cargo.toml",
-        "crates/tensor/Cargo.toml",
-        "crates/sim/Cargo.toml",
-        "crates/accel/Cargo.toml",
-        "crates/bench/Cargo.toml",
-        "crates/lint/Cargo.toml",
-        "crates/compat/rand/Cargo.toml",
-        "crates/compat/serde/Cargo.toml",
-        "crates/compat/serde_derive/Cargo.toml",
-        "crates/compat/crossbeam/Cargo.toml",
-        "crates/compat/parking_lot/Cargo.toml",
-        "crates/compat/criterion/Cargo.toml",
-        "crates/compat/proptest/Cargo.toml",
-    ];
-    for rel in manifests {
+    let manifests = crate_manifests(&root_manifest);
+    assert!(
+        manifests.iter().any(|m| m == "crates/lint/Cargo.toml"),
+        "member list parsed from the root manifest misses this crate: {manifests:?}"
+    );
+    for rel in &manifests {
         let text = std::fs::read_to_string(root.join(rel))
             .unwrap_or_else(|e| panic!("cannot read {rel}: {e}"));
         assert!(

@@ -28,8 +28,6 @@
 //! ```
 
 pub mod accumulate;
-pub mod analysis;
-pub mod bipolar;
 pub mod bitstream;
 pub mod error;
 pub mod format;

@@ -4,9 +4,8 @@
 //! (Section VI-B describes a "custom, transaction-level, event-driven
 //! python-based simulator"): a deterministic discrete-event queue,
 //! picosecond simulated time, an energy/power/area ledger fed from
-//! Table IV-style component specs, a mesh NoC, memory models, counters and
-//! utilization statistics, plus a fork-join parallel map for parameter
-//! sweeps.
+//! Table IV-style component specs, counters and utilization statistics,
+//! plus a fork-join parallel map for parameter sweeps.
 //!
 //! The accelerator-specific models (SCONNA itself and the analog
 //! baselines) live in `sconna-accel`; this crate is architecture-neutral.
@@ -23,15 +22,11 @@
 
 pub mod energy;
 pub mod event;
-pub mod memory;
-pub mod noc;
 pub mod parallel;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use energy::{ComponentSpec, EnergyLedger};
 pub use event::EventQueue;
-pub use noc::MeshNoc;
 pub use stats::{gmean, Counters};
 pub use time::SimTime;
