@@ -315,6 +315,10 @@ pub enum ServingConfigError {
     /// The autoscale policy is internally inconsistent (bounds,
     /// interval or headroom).
     Autoscale(String),
+    /// The supervisor policy is degenerate (a zero backoff, reset
+    /// uptime or crash-loop window, an inverted backoff cap, jitter
+    /// outside `[0, 1)`, or a zero crash-loop limit).
+    Supervisor(String),
     /// Autoscale `max` disagrees with the provisioned pool.
     AutoscalePoolMismatch {
         /// The policy's `max`.
@@ -403,7 +407,7 @@ impl std::fmt::Display for ServingConfigError {
             Self::NonPositiveRate { rate_fps } => {
                 write!(f, "Poisson rate must be positive (got {rate_fps})")
             }
-            Self::Autoscale(msg) => write!(f, "{msg}"),
+            Self::Autoscale(msg) | Self::Supervisor(msg) => write!(f, "{msg}"),
             Self::AutoscalePoolMismatch { max, instances } => write!(
                 f,
                 "autoscale max ({max}) must equal the provisioned instance pool ({instances})"
@@ -605,6 +609,9 @@ impl ServingConfig {
                 });
             }
         }
+        if let Some(sup) = &self.supervisor {
+            sup.validate().map_err(ServingConfigError::Supervisor)?;
+        }
         if self.tenants.is_empty() {
             validate_arrivals(&self.arrivals, self.requests)?;
         } else {
@@ -749,13 +756,11 @@ impl ServingConfig {
         self
     }
 
-    /// Enables the windowed-goodput availability series.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
+    /// Enables the windowed-goodput availability series. A zero
+    /// `window` is rejected at fleet construction
+    /// ([`ServingConfigError::ZeroGoodputWindow`]).
     #[must_use]
     pub fn with_goodput_window(mut self, window: SimTime) -> Self {
-        assert!(window > SimTime::ZERO, "goodput window must be positive");
         self.goodput_window = Some(window);
         self
     }

@@ -26,6 +26,16 @@
 //! provably never be served drain as
 //! [`RequestOutcome::ShedStranded`] when the fleet settles.
 //!
+//! Accounting keeps one count per fact. Every request, batch, shed,
+//! latency, swap and energy counter lives on its tenant's ledger; the
+//! fleet-wide figures of a [`FleetSnapshot`] and a [`ServingReport`]
+//! (and the autoscaler's demand signal) are sums over tenants, and the
+//! fleet latency summary is taken over the tenants' samples merged. So
+//! per-tenant rows sum to the fleet totals by construction, and tenant
+//! rows and the fleet report derive their rates with the same formulas.
+//! One helper charges every batch, dispatched or hedged, and one walk
+//! over the prediction ledger counts correct responses per tenant.
+//!
 //! Two datacenter-scale mechanisms ride on the same event loop:
 //!
 //! * **Rack routing.** Dispatch no longer scans the node list linearly:
@@ -138,39 +148,25 @@ impl<'a> FunctionalExec<'a> {
         requests: usize,
         degrading: bool,
     ) -> Self {
-        let fallback = if degrading {
-            Some(
-                (0..instances)
-                    .map(|_| {
-                        workloads
-                            .iter()
-                            .map(|w| {
-                                let fb = w.fallback.expect(
-                                    "invariant: Fleet::build rejects Degrade without a fallback",
-                                );
-                                let engine = w.fallback_engine.unwrap_or(w.engine);
-                                PreparedNetwork::new(fb, engine)
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            )
-        } else {
-            None
+        // Model load: every instance prepares every model's weights once
+        // — per-layer DKV/LUT stream conversion, narrow GEMM forms —
+        // before the first request arrives; later swaps repoint, they
+        // never re-prepare.
+        let prepare = |pick: fn(&FunctionalWorkload<'a>) -> PreparedNetwork<'a>| {
+            (0..instances)
+                .map(|_| workloads.iter().map(|w| pick(w)).collect())
+                .collect::<Vec<_>>()
         };
+        let fallback = degrading.then(|| {
+            prepare(|w| {
+                let fb = w
+                    .fallback
+                    .expect("invariant: Fleet::build rejects Degrade without a fallback");
+                PreparedNetwork::new(fb, w.fallback_engine.unwrap_or(w.engine))
+            })
+        });
         Self {
-            // Model load: every instance prepares every model's weights
-            // once — per-layer DKV/LUT stream conversion, narrow GEMM
-            // forms — before the first request arrives; later swaps
-            // repoint, they never re-prepare.
-            nets: (0..instances)
-                .map(|_| {
-                    workloads
-                        .iter()
-                        .map(|w| PreparedNetwork::new(w.net, w.engine))
-                        .collect()
-                })
-                .collect(),
+            nets: prepare(|w| PreparedNetwork::new(w.net, w.engine)),
             fallback,
             arenas: (0..instances).map(|_| BatchArena::new()).collect(),
             predictions: vec![usize::MAX; requests],
@@ -202,31 +198,42 @@ impl<'a> FunctionalExec<'a> {
         }
     }
 
-    /// Correct responses over the run: predictions matching their sample
-    /// label (looked up through `model_of`, the request-id → model-index
-    /// map of the tenant roster), counted only for requests that reached
-    /// a response terminal state. Computed from the final ledger (not
+    /// Correct responses per tenant, roster order: predictions matching
+    /// their sample label, counted only for requests that reached a
+    /// response terminal state. Computed from the final ledger (not
     /// incrementally) so a batch aborted by a kill and re-executed is
     /// counted exactly once.
-    fn correct_responses(
+    fn correct_by_tenant(
         &self,
         outcomes: &[RequestOutcome],
-        model_of: impl Fn(usize) -> usize,
-    ) -> u64 {
-        self.predictions
-            .iter()
-            .enumerate()
-            .filter(|&(id, &pred)| {
-                matches!(
-                    outcomes[id],
-                    RequestOutcome::Served | RequestOutcome::Degraded
-                ) && {
-                    let samples = self.workloads[model_of(id)].samples;
-                    pred == samples[id % samples.len()].label
-                }
-            })
-            .count() as u64
+        tenant_of: &[u32],
+        tenants: &[TenantRt],
+    ) -> Vec<u64> {
+        debug_assert!(
+            outcomes
+                .iter()
+                .zip(&self.predictions)
+                .all(|(o, &p)| is_response(*o) == (p != usize::MAX)),
+            "exactly the responses must have been executed"
+        );
+        let mut correct = vec![0u64; tenants.len()];
+        for (id, o) in outcomes.iter().enumerate() {
+            if !is_response(*o) {
+                continue;
+            }
+            let t = tenant_of[id] as usize;
+            let samples = self.workloads[tenants[t].spec.model].samples;
+            if self.predictions[id] == samples[id % samples.len()].label {
+                correct[t] += 1;
+            }
+        }
+        correct
     }
+}
+
+/// The request got an answer: full-fidelity or degraded.
+fn is_response(o: RequestOutcome) -> bool {
+    matches!(o, RequestOutcome::Served | RequestOutcome::Degraded)
 }
 
 /// Scheduler events.
@@ -370,6 +377,13 @@ struct Instance {
     resident: usize,
     /// The batch this instance is serving, if any.
     in_flight: Option<InFlight>,
+    /// Busy time accrued by finished, cancelled and aborted batches.
+    util: Utilization,
+    /// When the current outage began (first kill of the outage,
+    /// surviving kills-while-reloading); `None` while up.
+    down_since: Option<SimTime>,
+    /// Accrued downtime over completed outages.
+    downtime: SimTime,
 }
 
 impl Instance {
@@ -383,11 +397,24 @@ impl Instance {
             draining: false,
             resident,
             in_flight: None,
+            util: Utilization::new(),
+            down_since: None,
+            downtime: SimTime::ZERO,
         }
     }
 
     fn dispatchable(&self, now: SimTime) -> bool {
         self.up && !self.draining && self.in_flight.is_none() && self.stall_until <= now
+    }
+
+    /// Parks the instance into standby. The epoch bump lapses every
+    /// timer of its retired life.
+    fn park(&mut self) {
+        self.epoch += 1;
+        self.up = false;
+        self.reloading = false;
+        self.draining = false;
+        self.standby = true;
     }
 }
 
@@ -446,12 +473,81 @@ struct ModelCtx<'a> {
     reload_time: SimTime,
 }
 
+/// The request and batch counts a usage row is derived from. Each
+/// tenant owns one; a fleet total is the sum over tenants
+/// ([`Scheduler::totals`]), never a second counter.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    offered: u64,
+    completed: u64,
+    degraded: u64,
+    dropped: u64,
+    shed: ShedCounts,
+    batches: u64,
+    batched_requests: u64,
+}
+
+/// The rate fields of a usage row, derived by [`Tally::rates`] with the
+/// same formulas for a tenant row and for the fleet report.
+struct Rates {
+    drop_rate: f64,
+    fps: f64,
+    goodput_fps: f64,
+    mean_batch_fill: f64,
+    energy_per_inference_j: f64,
+}
+
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.offered += other.offered;
+        self.completed += other.completed;
+        self.degraded += other.degraded;
+        self.dropped += other.dropped;
+        self.shed.add(&other.shed);
+        self.batches += other.batches;
+        self.batched_requests += other.batched_requests;
+    }
+
+    /// Requests that got an answer: full-fidelity or degraded.
+    fn responses(&self) -> u64 {
+        self.completed + self.degraded
+    }
+
+    /// Requests in a terminal state.
+    fn terminal(&self) -> u64 {
+        self.responses() + self.dropped
+    }
+
+    /// Rates over a run of `secs` simulated seconds that spent
+    /// `energy_j` joules; each is 0 where its denominator is.
+    fn rates(&self, secs: f64, energy_j: f64) -> Rates {
+        let per_sec = |n: u64| if secs > 0.0 { n as f64 / secs } else { 0.0 };
+        Rates {
+            drop_rate: ratio(self.dropped as f64, self.offered),
+            fps: per_sec(self.completed),
+            goodput_fps: per_sec(self.responses()),
+            mean_batch_fill: ratio(self.batched_requests as f64, self.batches),
+            energy_per_inference_j: ratio(energy_j, self.responses()),
+        }
+    }
+}
+
+/// `n / d`, or 0 when `d` is 0.
+fn ratio(n: f64, d: u64) -> f64 {
+    if d == 0 {
+        0.0
+    } else {
+        n / d as f64
+    }
+}
+
 /// Run-wide mutable state of one tenant: its spec, its weighted-fair
 /// virtual clock, its private arrival stream, and the usage counters
 /// that become its [`TenantUsage`] record. (The per-origin usage-record
 /// shape follows the traffic-accounting idiom: every counter the
-/// operator bills or SLO-audits lives on the tenant, and the fleet
-/// totals are provably the sum over tenants.)
+/// operator bills or SLO-audits lives on the tenant only, and every
+/// fleet total is computed as the sum over tenants, so rows sum to
+/// totals by construction.)
 struct TenantRt {
     spec: TenantSpec,
     /// Weighted-fair virtual finish time: advanced `batch / weight` per
@@ -464,14 +560,9 @@ struct TenantRt {
     rng: StdRng,
     /// Requests issued into this tenant's arrival process so far.
     issued: usize,
-    offered: u64,
-    completed: u64,
-    degraded_done: u64,
-    dropped: u64,
-    shed: ShedCounts,
+    tally: Tally,
+    /// End-to-end latency of each of this tenant's responses.
     latency: LatencySamples,
-    batches: u64,
-    batched_requests: u64,
     /// Model swaps instances paid to serve this tenant.
     swaps: u64,
     /// Total simulated time those swaps cost.
@@ -494,14 +585,8 @@ impl TenantRt {
                 seed.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
             }),
             issued: 0,
-            offered: 0,
-            completed: 0,
-            degraded_done: 0,
-            dropped: 0,
-            shed: ShedCounts::default(),
+            tally: Tally::default(),
             latency: LatencySamples::new(),
-            batches: 0,
-            batched_requests: 0,
             swaps: 0,
             swap_time: SimTime::ZERO,
             energy_j: 0.0,
@@ -620,16 +705,7 @@ struct Scheduler<'a> {
     auto: Option<AutoscaleCtl>,
     /// The normalized fault schedule ([`Ev::Fault`] indexes into it).
     faults: Vec<FaultEvent>,
-    util: Vec<Utilization>,
-    latency: LatencySamples,
     queue_depth: QueueDepthSamples,
-    offered: u64,
-    completed: u64,
-    dropped: u64,
-    degraded_done: u64,
-    shed: ShedCounts,
-    batches: u64,
-    batched_requests: u64,
     last_completion: SimTime,
     /// Monotonic epoch invalidating stale flush timers.
     flush_epoch: u64,
@@ -649,11 +725,6 @@ struct Scheduler<'a> {
     /// per-instance downtime and MTTR summary are finalized in
     /// `into_parts`.
     avail: AvailabilityStats,
-    /// When each currently-down instance went down (first kill of the
-    /// outage, surviving kills-while-reloading).
-    down_since: Vec<Option<SimTime>>,
-    /// Accrued downtime per instance over completed outages.
-    downtime: Vec<SimTime>,
     /// Sum of completed outage durations (mean MTTR numerator).
     mttr_total: SimTime,
     /// Windowed response series; `None` unless the config enables it.
@@ -661,6 +732,15 @@ struct Scheduler<'a> {
 }
 
 impl Scheduler<'_> {
+    /// Fleet-wide counts: the sum of every tenant's tally.
+    fn totals(&self) -> Tally {
+        let mut sum = Tally::default();
+        for tr in &self.tenants {
+            sum.add(&tr.tally);
+        }
+        sum
+    }
+
     /// Lowest-numbered dispatchable instance, if any: up, idle, not
     /// draining, and not inside a stall window. Answered by the rack
     /// router's bitmap scan; the linear walk it replaced survives as a
@@ -743,43 +823,18 @@ impl Scheduler<'_> {
         let ArrivalProcess::Poisson { rate_fps } = tr.spec.arrivals else {
             return;
         };
-        assert!(rate_fps > 0.0, "Poisson rate must be positive");
         let u: f64 = tr.rng.gen_range(f64::EPSILON..1.0);
         let dt = -u.ln() / rate_fps;
         tr.issued += 1;
         q.schedule_in(SimTime::from_secs_f64(dt), Ev::Arrive(t as u32));
     }
 
-    /// Marks request `id` shed for `cause` (a drop, not a response),
-    /// on both the fleet ledger and its tenant's.
+    /// Marks request `id` shed for `cause` (a drop, not a response) on
+    /// its tenant's tally.
     fn record_drop(&mut self, id: u64, cause: RequestOutcome) {
-        let t = self.tenant_of[id as usize] as usize;
-        let ts = &mut self.tenants[t];
-        match cause {
-            RequestOutcome::ShedNewest => {
-                self.shed.newest += 1;
-                ts.shed.newest += 1;
-            }
-            RequestOutcome::ShedOldest => {
-                self.shed.oldest += 1;
-                ts.shed.oldest += 1;
-            }
-            RequestOutcome::ShedDeadline => {
-                self.shed.deadline += 1;
-                ts.shed.deadline += 1;
-            }
-            RequestOutcome::ShedStranded => {
-                self.shed.stranded += 1;
-                ts.shed.stranded += 1;
-            }
-            RequestOutcome::ShedRetryBudget => {
-                self.shed.retry += 1;
-                ts.shed.retry += 1;
-            }
-            _ => unreachable!("record_drop takes shed causes only"),
-        }
-        ts.dropped += 1;
-        self.dropped += 1;
+        let tally = &mut self.tenants[self.tenant_of[id as usize] as usize].tally;
+        tally.shed.record(cause);
+        tally.dropped += 1;
         self.outcomes[id as usize] = Some(cause);
     }
 
@@ -790,55 +845,44 @@ impl Scheduler<'_> {
     fn admit(&mut self, now: SimTime, t: usize) -> usize {
         let id = self.next_id;
         self.next_id += 1;
-        self.offered += 1;
-        self.tenants[t].offered += 1;
+        self.tenants[t].tally.offered += 1;
         self.outcomes.push(None);
         self.attempts.push(0);
         self.tenant_of.push(t as u32);
         let full = self
             .queue_bound(t)
             .is_some_and(|bound| self.pending[t].len() >= bound);
-        let shed = if !full {
+        let (mut shed, mut degraded) = (0, false);
+        if !full {
             self.backlog_vtime(t);
-            self.pending[t].push_back(PendingReq {
-                id,
-                arrived: now,
-                degraded: false,
-            });
-            0
         } else {
             match self.cfg.admission {
                 AdmissionPolicy::DropNewest | AdmissionPolicy::Deadline { .. } => {
                     self.record_drop(id, RequestOutcome::ShedNewest);
-                    1
+                    self.note_depth(now);
+                    return 1;
                 }
                 AdmissionPolicy::DropOldest => {
                     let old = self.pending[t]
                         .pop_front()
                         .expect("invariant: the queue is full here, so it has a head");
                     self.record_drop(old.id, RequestOutcome::ShedOldest);
-                    self.pending[t].push_back(PendingReq {
-                        id,
-                        arrived: now,
-                        degraded: false,
-                    });
-                    1
+                    shed = 1;
                 }
                 AdmissionPolicy::Degrade { .. } => {
                     // Admit anyway, but onto the fallback tier: the
                     // request keeps its place in line and its client gets
                     // a (coarser) answer.
-                    self.shed.degraded += 1;
-                    self.tenants[t].shed.degraded += 1;
-                    self.pending[t].push_back(PendingReq {
-                        id,
-                        arrived: now,
-                        degraded: true,
-                    });
-                    0
+                    self.tenants[t].tally.shed.degraded += 1;
+                    degraded = true;
                 }
             }
-        };
+        }
+        self.pending[t].push_back(PendingReq {
+            id,
+            arrived: now,
+            degraded,
+        });
         self.note_depth(now);
         shed
     }
@@ -953,22 +997,17 @@ impl Scheduler<'_> {
         if let AdmissionPolicy::Deadline { slo } = self.cfg.admission {
             for t in 0..self.tenants.len() {
                 let mut expired = 0usize;
-                while let Some(front) = self.pending[t].front() {
-                    if now - front.arrived > slo {
-                        let r = self.pending[t]
-                            .pop_front()
-                            .expect("invariant: front() returned Some above");
-                        self.record_drop(r.id, RequestOutcome::ShedDeadline);
-                        expired += 1;
-                    } else {
-                        break;
-                    }
+                while self.pending[t]
+                    .front()
+                    .is_some_and(|r| now - r.arrived > slo)
+                {
+                    let r = self.pending[t]
+                        .pop_front()
+                        .expect("invariant: front() returned Some above");
+                    self.record_drop(r.id, RequestOutcome::ShedDeadline);
+                    expired += 1;
                 }
-                if expired > 0 {
-                    self.note_depth(now);
-                    // Each shed frees a client for its next request.
-                    self.respawn_clients(now, t, expired);
-                }
+                self.after_shed(now, t, expired);
             }
         }
         while let Some((t, take, tier_degraded)) = self.pick_tenant() {
@@ -986,46 +1025,14 @@ impl Scheduler<'_> {
                 .drain(..take)
                 .map(|r| (r.id, r.arrived))
                 .collect();
-            let midx = self.tenants[t].spec.model;
-            let model = self.models[midx].model;
-            let energy_before = self.ledger.dynamic_energy_j();
-            let (makespan, layers) = if tier_degraded {
-                self.models[midx]
-                    .degraded_profiles
-                    .as_mut()
-                    .expect("invariant: the degraded tier is only entered after fallback profiles were built")
-                    .get(take)
-            } else {
-                self.models[midx].profiles.get(take)
-            };
-            let makespan = *makespan;
-            let accel = if tier_degraded {
-                self.degraded_accel.expect(
-                    "invariant: the degraded tier is only entered after fallback config was set",
-                )
-            } else {
-                self.cfg.accelerator
-            };
-            record_inference_ops(&mut self.ledger, &accel, layers, model, take);
-            self.tenants[t].energy_j += self.ledger.dynamic_energy_j() - energy_before;
-            let swap = if self.nodes[inst].resident != midx {
-                // Co-resident weights: switching models repoints (SCONNA)
-                // or reprograms (analog) the arrays before the batch runs.
-                self.nodes[inst].resident = midx;
-                let swap = self.models[midx].swap_time;
-                self.tenants[t].swaps += 1;
-                self.tenants[t].swap_time += swap;
-                swap
-            } else {
-                SimTime::ZERO
-            };
+            let service = self.charge_batch(t, inst, take, tier_degraded);
             if let Some(func) = &mut self.functional {
                 // Run the real inference the analytic model is timing:
                 // the whole batch through one stack of prepared tiles on
                 // this instance's copy of the tenant's model (primary or
                 // fallback).
                 let ids: Vec<u64> = reqs.iter().map(|&(id, _)| id).collect();
-                func.execute_batch(inst, midx, &ids, tier_degraded);
+                func.execute_batch(inst, self.tenants[t].spec.model, &ids, tier_degraded);
             }
             for &(id, _) in &reqs {
                 let a = &mut self.attempts[id as usize];
@@ -1044,12 +1051,11 @@ impl Scheduler<'_> {
                 hedge: None,
                 hedge_of: None,
             });
-            self.batches += 1;
-            self.batched_requests += take as u64;
-            self.tenants[t].batches += 1;
-            self.tenants[t].batched_requests += take as u64;
+            let tally = &mut self.tenants[t].tally;
+            tally.batches += 1;
+            tally.batched_requests += take as u64;
             q.schedule_in(
-                swap + makespan,
+                service,
                 Ev::BatchDone {
                     inst,
                     epoch: node.epoch,
@@ -1074,6 +1080,46 @@ impl Scheduler<'_> {
         }
     }
 
+    /// Charges a batch of `n` tenant-`t` requests dispatched onto
+    /// instance `inst` — a primary or a hedged duplicate alike: records
+    /// the batch's dynamic energy on the ledger and attributes it to the
+    /// tenant, then swaps the tenant's model into the instance if
+    /// another one is resident (co-resident weights: SCONNA repoints its
+    /// LUT banks, the analog baselines reprogram their cells). Returns
+    /// the time until the batch completes: swap plus batch makespan on
+    /// the native or the degraded tier.
+    fn charge_batch(&mut self, t: usize, inst: usize, n: usize, degraded: bool) -> SimTime {
+        let midx = self.tenants[t].spec.model;
+        let ctx = &mut self.models[midx];
+        let energy_before = self.ledger.dynamic_energy_j();
+        let (makespan, layers) = if degraded {
+            ctx.degraded_profiles
+                .as_mut()
+                .expect("invariant: degraded batches only exist with fallback profiles")
+                .get(n)
+        } else {
+            ctx.profiles.get(n)
+        };
+        let accel = if degraded {
+            self.degraded_accel
+                .expect("invariant: degraded batches only exist with a fallback config")
+        } else {
+            self.cfg.accelerator
+        };
+        record_inference_ops(&mut self.ledger, &accel, layers, ctx.model, n);
+        let makespan = *makespan;
+        let tr = &mut self.tenants[t];
+        tr.energy_j += self.ledger.dynamic_energy_j() - energy_before;
+        let mut swap = SimTime::ZERO;
+        if self.nodes[inst].resident != midx {
+            self.nodes[inst].resident = midx;
+            swap = ctx.swap_time;
+            tr.swaps += 1;
+            tr.swap_time += swap;
+        }
+        swap + makespan
+    }
+
     /// Kills instance `inst`: bump its boot epoch (in-flight completions
     /// and reloads of the old life become stale), truncate its busy time
     /// at the kill instant, and re-admit the aborted batch's requests at
@@ -1096,14 +1142,14 @@ impl Scheduler<'_> {
             self.avail.incidents += 1;
             // The outage clock starts at the first kill and survives
             // kills-while-reloading: MTTR measures down-at → back-up.
-            if self.down_since[inst].is_none() {
-                self.down_since[inst] = Some(now);
+            if node.down_since.is_none() {
+                node.down_since = Some(now);
             }
             if let Some(fl) = self.nodes[inst].in_flight.take() {
                 // Wasted work is real work: the dispatch energy stays on
                 // the ledger, but only the busy time actually accrued
                 // counts toward utilization.
-                self.util[inst].add_busy(now - fl.started);
+                self.nodes[inst].util.add_busy(now - fl.started);
                 if let Some(primary) = fl.hedge_of {
                     // A dying *hedge* costs nothing but its energy: the
                     // primary still owns the requests — just unlink it.
@@ -1134,18 +1180,12 @@ impl Scheduler<'_> {
                     let t = fl.tenant as usize;
                     let mut refused = 0usize;
                     self.backlog_vtime(t);
+                    let retry = self.cfg.retry;
                     for (id, arrived) in fl.reqs.into_iter().rev() {
-                        let over_attempts = self
-                            .cfg
-                            .retry
-                            .max_attempts
-                            .is_some_and(|m| self.attempts[id as usize] >= m);
-                        let budget_spent = self
-                            .cfg
-                            .retry
-                            .retry_budget
-                            .is_some_and(|b| self.avail.retries >= b);
-                        if over_attempts || budget_spent {
+                        let attempts = self.attempts[id as usize];
+                        if retry.max_attempts.is_some_and(|m| attempts >= m)
+                            || retry.retry_budget.is_some_and(|b| self.avail.retries >= b)
+                        {
                             // Retry-storm protection: the request is shed
                             // instead of amplifying the overload.
                             self.record_drop(id, RequestOutcome::ShedRetryBudget);
@@ -1160,19 +1200,14 @@ impl Scheduler<'_> {
                         }
                     }
                     self.enforce_bound_after_requeue(now, t);
-                    if refused > 0 {
-                        self.note_depth(now);
-                        self.respawn_clients(now, t, refused);
-                    }
+                    self.after_shed(now, t, refused);
                 }
             }
             if self.nodes[inst].draining {
                 // The kill beat the drain: the instance was retiring
                 // anyway, so it parks into standby instead of entering
                 // the supervised-restart path.
-                let n = &mut self.nodes[inst];
-                n.draining = false;
-                n.standby = true;
+                self.nodes[inst].park();
             }
             if !self.nodes[inst].standby {
                 self.supervise_kill(q, now, inst);
@@ -1235,36 +1270,38 @@ impl Scheduler<'_> {
         let Some(bound) = self.queue_bound(t) else {
             return;
         };
-        let mut freed = 0usize;
-        match self.cfg.admission {
-            AdmissionPolicy::DropNewest | AdmissionPolicy::Deadline { .. } => {
-                while self.pending[t].len() > bound {
-                    let r = self.pending[t]
-                        .pop_back()
-                        .expect("invariant: over-bound queue is non-empty");
-                    self.record_drop(r.id, RequestOutcome::ShedNewest);
-                    freed += 1;
-                }
-            }
-            AdmissionPolicy::DropOldest => {
-                while self.pending[t].len() > bound {
-                    let r = self.pending[t]
-                        .pop_front()
-                        .expect("invariant: over-bound queue is non-empty");
-                    self.record_drop(r.id, RequestOutcome::ShedOldest);
-                    freed += 1;
-                }
-            }
+        let newest = match self.cfg.admission {
+            AdmissionPolicy::DropNewest | AdmissionPolicy::Deadline { .. } => true,
+            AdmissionPolicy::DropOldest => false,
             AdmissionPolicy::Degrade { .. } => {
                 for r in self.pending[t].iter_mut().skip(bound) {
                     if !r.degraded {
                         r.degraded = true;
-                        self.shed.degraded += 1;
-                        self.tenants[t].shed.degraded += 1;
+                        self.tenants[t].tally.shed.degraded += 1;
                     }
                 }
+                return;
             }
+        };
+        let mut freed = 0usize;
+        while self.pending[t].len() > bound {
+            let q = &mut self.pending[t];
+            let (r, cause) = if newest {
+                (q.pop_back(), RequestOutcome::ShedNewest)
+            } else {
+                (q.pop_front(), RequestOutcome::ShedOldest)
+            };
+            let r = r.expect("invariant: over-bound queue is non-empty");
+            self.record_drop(r.id, cause);
+            freed += 1;
         }
+        self.after_shed(now, t, freed);
+    }
+
+    /// After `freed` of tenant `t`'s requests were shed at `now`:
+    /// samples the queue depth, and in the closed loop each freed client
+    /// fires its next request.
+    fn after_shed(&mut self, now: SimTime, t: usize, freed: usize) {
         if freed > 0 {
             self.note_depth(now);
             self.respawn_clients(now, t, freed);
@@ -1353,43 +1390,38 @@ impl Scheduler<'_> {
                 let fl = self.nodes[inst].in_flight.take().expect(
                     "invariant: a current-epoch BatchDone matches a stored in-flight batch",
                 );
-                // An unpromoted hedge can never get here: it started
-                // strictly after its primary with the same makespan, so
-                // the primary's completion cancelled it (epoch bump)
-                // first.
-                debug_assert!(fl.hedge_of.is_none());
-                if let Some(twin) = fl.hedge {
-                    // The primary won: cancel the duplicate. The epoch
-                    // bump invalidates its scheduled BatchDone; its busy
-                    // time (and its dispatch energy, long since on the
-                    // ledger) was genuinely spent.
-                    if let Some(tfl) = self.nodes[twin].in_flight.take() {
-                        debug_assert_eq!(tfl.hedge_of, Some(inst));
-                        self.util[twin].add_busy(now - tfl.started);
-                        self.nodes[twin].epoch += 1;
-                        self.avail.hedges_cancelled += 1;
-                        if self.nodes[twin].draining {
-                            // The twin was marked for retirement while
-                            // running the duplicate: with the hedge
-                            // cancelled (epoch already bumped) it parks.
-                            let t = &mut self.nodes[twin];
-                            t.draining = false;
-                            t.up = false;
-                            t.standby = true;
+                // First completion wins; the other copy of a hedged
+                // pair is cancelled. The epoch bump lapses its scheduled
+                // BatchDone; its busy time (and its dispatch energy, long
+                // since on the ledger) was genuinely spent. The hedge
+                // started later, so it only wins when its primary paid a
+                // model swap it did not: it then replaces the primary.
+                if let Some(loser) = fl.hedge.or(fl.hedge_of) {
+                    if let Some(lfl) = self.nodes[loser].in_flight.take() {
+                        debug_assert!(lfl.hedge == Some(inst) || lfl.hedge_of == Some(inst));
+                        if fl.hedge_of.is_some() {
+                            self.avail.hedges_promoted += 1;
+                        } else {
+                            self.avail.hedges_cancelled += 1;
                         }
-                        self.sync_router(twin);
+                        let n = &mut self.nodes[loser];
+                        n.util.add_busy(now - lfl.started);
+                        if n.draining {
+                            // Marked for retirement while running its
+                            // copy: with the copy cancelled, it parks.
+                            n.park();
+                        } else {
+                            n.epoch += 1;
+                        }
+                        self.sync_router(loser);
                     }
                 }
-                self.util[inst].add_busy(now - fl.started);
-                if self.nodes[inst].draining {
+                let n = &mut self.nodes[inst];
+                n.util.add_busy(now - fl.started);
+                if n.draining {
                     // Drain complete: the batch it was finishing is done,
-                    // so the instance parks into standby; the epoch bump
-                    // lapses any timers of its retired life.
-                    let n = &mut self.nodes[inst];
-                    n.draining = false;
-                    n.up = false;
-                    n.epoch += 1;
-                    n.standby = true;
+                    // so the instance parks into standby.
+                    n.park();
                 }
                 self.sync_router(inst);
                 self.last_completion = now;
@@ -1398,18 +1430,16 @@ impl Scheduler<'_> {
                 if let Some(g) = &mut self.goodput {
                     g.record(now, n_done as u64);
                 }
+                let tr = &mut self.tenants[t];
                 for (id, arrival) in fl.reqs {
-                    self.latency.record(now - arrival);
-                    self.tenants[t].latency.record(now - arrival);
-                    if fl.degraded {
-                        self.degraded_done += 1;
-                        self.tenants[t].degraded_done += 1;
-                        self.outcomes[id as usize] = Some(RequestOutcome::Degraded);
+                    tr.latency.record(now - arrival);
+                    self.outcomes[id as usize] = Some(if fl.degraded {
+                        tr.tally.degraded += 1;
+                        RequestOutcome::Degraded
                     } else {
-                        self.completed += 1;
-                        self.tenants[t].completed += 1;
-                        self.outcomes[id as usize] = Some(RequestOutcome::Served);
-                    }
+                        tr.tally.completed += 1;
+                        RequestOutcome::Served
+                    });
                 }
                 // Each completed client immediately re-requests.
                 self.respawn_clients(now, t, n_done);
@@ -1441,9 +1471,9 @@ impl Scheduler<'_> {
                 node.up = true;
                 let boot_epoch = node.epoch;
                 self.avail.recoveries += 1;
-                if let Some(down_at) = self.down_since[inst].take() {
+                if let Some(down_at) = node.down_since.take() {
                     let outage = now - down_at;
-                    self.downtime[inst] += outage;
+                    node.downtime += outage;
                     self.mttr_total += outage;
                 }
                 self.sync_router(inst);
@@ -1509,19 +1539,15 @@ impl Scheduler<'_> {
     /// whole fleet is dead with nothing left to wake.
     fn handle_scale_tick(&mut self, q: &mut EventQueue<Ev>, now: SimTime) {
         let current = self.live_pool();
-        let offered = self.offered;
+        let totals = self.totals();
         let queued = self.total_queued();
-        let (interval, decision, cooled) = {
-            let auto = self
-                .auto
-                .as_mut()
-                .expect("invariant: ScaleTick events are only scheduled with an autoscaler");
-            (
-                auto.policy.check_interval,
-                auto.measure(now, offered, queued),
-                auto.cooled_down(now),
-            )
-        };
+        let auto = self
+            .auto
+            .as_mut()
+            .expect("invariant: ScaleTick events are only scheduled with an autoscaler");
+        let interval = auto.policy.check_interval;
+        let decision = auto.measure(now, totals.offered, queued);
+        let cooled = auto.cooled_down(now);
         if let Some((desired, demand_fps)) = decision {
             if desired != current && cooled {
                 let achieved = if desired > current {
@@ -1545,8 +1571,7 @@ impl Scheduler<'_> {
                 }
             }
         }
-        let all_terminal =
-            self.completed + self.dropped + self.degraded_done >= self.cfg.requests as u64;
+        let all_terminal = totals.terminal() >= self.cfg.requests as u64;
         let fleet_dead = self
             .nodes
             .iter()
@@ -1562,32 +1587,24 @@ impl Scheduler<'_> {
     /// the full cold weight reload (epoch-guarded [`Ev::ReloadDone`],
     /// exactly like a fault restart) before taking work. Returns how
     /// many instances actually joined (bounded by what is parked).
-    fn wake(&mut self, q: &mut EventQueue<Ev>, now: SimTime, mut delta: usize) -> usize {
-        let mut woken = 0usize;
+    fn wake(&mut self, q: &mut EventQueue<Ev>, now: SimTime, delta: usize) -> usize {
+        let mut left = delta;
         for i in 0..self.nodes.len() {
-            if delta == 0 {
-                break;
-            }
-            if self.nodes[i].draining {
+            if left > 0 && self.nodes[i].draining {
                 self.nodes[i].draining = false;
                 self.sync_router(i);
-                delta -= 1;
-                woken += 1;
+                left -= 1;
             }
         }
         for i in 0..self.nodes.len() {
-            if delta == 0 {
-                break;
-            }
-            if self.nodes[i].standby {
+            if left > 0 && self.nodes[i].standby {
                 self.nodes[i].standby = false;
                 let reload = self.models[self.nodes[i].resident].reload_time;
                 self.begin_reload(q, now, i, reload);
-                delta -= 1;
-                woken += 1;
+                left -= 1;
             }
         }
-        woken
+        delta - left
     }
 
     /// Scales down by `delta`, highest-numbered live instance first: an
@@ -1596,30 +1613,23 @@ impl Scheduler<'_> {
     /// drains: it finishes its in-flight batch and parks at completion.
     /// Requests are never aborted by scaling. Returns how many instances
     /// left the live pool.
-    fn park(&mut self, mut delta: usize) -> usize {
-        let mut parked = 0usize;
+    fn park(&mut self, delta: usize) -> usize {
+        let mut left = delta;
         for i in (0..self.nodes.len()).rev() {
-            if delta == 0 {
-                break;
-            }
             let n = &mut self.nodes[i];
-            if n.standby || n.draining || !(n.up || n.reloading) {
+            if left == 0 || n.standby || n.draining || !(n.up || n.reloading) {
                 continue;
             }
             if n.in_flight.is_some() {
                 n.draining = true;
             } else {
-                n.epoch += 1;
-                n.up = false;
-                n.reloading = false;
                 n.stall_until = SimTime::ZERO;
-                n.standby = true;
+                n.park();
             }
             self.sync_router(i);
-            delta -= 1;
-            parked += 1;
+            left -= 1;
         }
-        parked
+        delta - left
     }
 
     /// Issues a hedged duplicate of the batch dispatched as `seq` on
@@ -1643,40 +1653,9 @@ impl Scheduler<'_> {
             return;
         };
         let tenant = fl.tenant;
-        let t = tenant as usize;
         let degraded = fl.degraded;
         let reqs = fl.reqs.clone();
-        let midx = self.tenants[t].spec.model;
-        let model = self.models[midx].model;
-        let energy_before = self.ledger.dynamic_energy_j();
-        let (makespan, layers) = if degraded {
-            self.models[midx]
-                .degraded_profiles
-                .as_mut()
-                .expect("invariant: degraded batches only exist with fallback profiles")
-                .get(reqs.len())
-        } else {
-            self.models[midx].profiles.get(reqs.len())
-        };
-        let makespan = *makespan;
-        let accel = if degraded {
-            self.degraded_accel
-                .expect("invariant: degraded batches only exist with a fallback config")
-        } else {
-            self.cfg.accelerator
-        };
-        record_inference_ops(&mut self.ledger, &accel, layers, model, reqs.len());
-        self.tenants[t].energy_j += self.ledger.dynamic_energy_j() - energy_before;
-        let swap = if self.nodes[twin].resident != midx {
-            // The duplicate needs the tenant's model resident too.
-            self.nodes[twin].resident = midx;
-            let swap = self.models[midx].swap_time;
-            self.tenants[t].swaps += 1;
-            self.tenants[t].swap_time += swap;
-            swap
-        } else {
-            SimTime::ZERO
-        };
+        let service = self.charge_batch(tenant as usize, twin, reqs.len(), degraded);
         let hedge_seq = self.next_seq;
         self.next_seq += 1;
         let twin_epoch = self.nodes[twin].epoch;
@@ -1697,7 +1676,7 @@ impl Scheduler<'_> {
         self.avail.hedges_dispatched += 1;
         self.sync_router(twin);
         q.schedule_in(
-            swap + makespan,
+            service,
             Ev::BatchDone {
                 inst: twin,
                 epoch: twin_epoch,
@@ -2035,20 +2014,17 @@ impl<'a> Fleet<'a> {
             AutoscaleCtl::new(policy, per_instance)
         });
 
-        let sup = config.supervisor.map(|policy| {
-            policy.validate();
-            SupCtl {
-                policy,
-                reload: models
-                    .iter()
-                    .map(|m| match policy.restart_mode {
-                        RestartMode::Cold => model_reload_time(&config.accelerator, m),
-                        RestartMode::Warm => model_warm_reload_time(&config.accelerator, m),
-                    })
-                    .collect(),
-                budget_left: policy.restart_budget,
-                states: (0..config.instances).map(|_| SupState::fresh()).collect(),
-            }
+        let sup = config.supervisor.map(|policy| SupCtl {
+            policy,
+            reload: models
+                .iter()
+                .map(|m| match policy.restart_mode {
+                    RestartMode::Cold => model_reload_time(&config.accelerator, m),
+                    RestartMode::Warm => model_warm_reload_time(&config.accelerator, m),
+                })
+                .collect(),
+            budget_left: policy.restart_budget,
+            states: (0..config.instances).map(|_| SupState::fresh()).collect(),
         });
 
         let model_ctxs: Vec<ModelCtx<'a>> = models
@@ -2093,20 +2069,9 @@ impl<'a> Fleet<'a> {
             sup,
             next_seq: 0,
             avail: AvailabilityStats::default(),
-            down_since: vec![None; config.instances],
-            downtime: vec![SimTime::ZERO; config.instances],
             mttr_total: SimTime::ZERO,
             goodput: config.goodput_window.map(GoodputSamples::new),
-            util: vec![Utilization::new(); config.instances],
-            latency: LatencySamples::new(),
             queue_depth: QueueDepthSamples::new(),
-            offered: 0,
-            completed: 0,
-            dropped: 0,
-            degraded_done: 0,
-            shed: ShedCounts::default(),
-            batches: 0,
-            batched_requests: 0,
             last_completion: SimTime::ZERO,
             flush_epoch: 0,
             flush_armed: false,
@@ -2117,8 +2082,7 @@ impl<'a> Fleet<'a> {
         if let Some(auto) = &sched.auto {
             // Instances beyond the bring-up pool start parked in standby.
             for node in sched.nodes.iter_mut().skip(auto.policy.initial) {
-                node.up = false;
-                node.standby = true;
+                node.park();
             }
         }
         for i in 0..config.instances {
@@ -2269,83 +2233,72 @@ impl<'a> Fleet<'a> {
     pub fn snapshot(&self) -> FleetSnapshot {
         let now = self.q.now();
         let s = &self.sched;
-        // Hedged duplicates hold a *copy* of their primary's requests;
-        // counting primaries only keeps the conservation invariant exact.
-        let in_flight: u64 = s
+        let mut tin = vec![0u64; s.tenants.len()];
+        let instances = s
             .nodes
             .iter()
-            .map(|n| {
-                n.in_flight
-                    .as_ref()
-                    .filter(|f| f.hedge_of.is_none())
-                    .map_or(0, |f| f.reqs.len() as u64)
+            .enumerate()
+            .map(|(i, n)| {
+                let benched = s.sup.as_ref().is_some_and(|sup| sup.states[i].benched);
+                // Hedged duplicates hold a *copy* of their primary's
+                // requests; counting primaries only keeps the
+                // conservation invariant exact.
+                let primary = n.in_flight.as_ref().filter(|f| f.hedge_of.is_none());
+                let in_flight = primary.map_or(0, |f| f.reqs.len());
+                if let Some(f) = primary {
+                    tin[f.tenant as usize] += in_flight as u64;
+                }
+                InstanceSnapshot {
+                    health: if n.standby {
+                        InstanceHealth::Standby
+                    } else if n.reloading {
+                        InstanceHealth::Reloading
+                    } else if !n.up {
+                        if benched {
+                            InstanceHealth::Benched
+                        } else {
+                            InstanceHealth::Down
+                        }
+                    } else if n.in_flight.is_some() {
+                        if n.draining {
+                            InstanceHealth::Draining
+                        } else {
+                            InstanceHealth::Busy
+                        }
+                    } else if n.stall_until > now {
+                        InstanceHealth::Stalled
+                    } else {
+                        InstanceHealth::Idle
+                    },
+                    in_flight,
+                    degraded_batch: n.in_flight.as_ref().is_some_and(|f| f.degraded),
+                    hedge_batch: n.in_flight.as_ref().is_some_and(|f| f.hedge_of.is_some()),
+                }
             })
-            .sum();
-        let mut tin = vec![0u64; s.tenants.len()];
-        for n in &s.nodes {
-            if let Some(f) = n.in_flight.as_ref().filter(|f| f.hedge_of.is_none()) {
-                tin[f.tenant as usize] += f.reqs.len() as u64;
-            }
-        }
+            .collect();
+        let totals = s.totals();
         FleetSnapshot {
             now,
             events_processed: self.q.processed(),
             is_complete: self.done,
-            offered: s.offered,
-            completed: s.completed,
-            dropped: s.dropped,
-            degraded: s.degraded_done,
-            shed: s.shed,
+            offered: totals.offered,
+            completed: totals.completed,
+            dropped: totals.dropped,
+            degraded: totals.degraded,
+            shed: totals.shed,
             queued: s.total_queued() as u64,
-            in_flight,
-            batches: s.batches,
-            instances: s
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| {
-                    let benched = s.sup.as_ref().is_some_and(|sup| sup.states[i].benched);
-                    InstanceSnapshot {
-                        health: if n.standby {
-                            InstanceHealth::Standby
-                        } else if n.reloading {
-                            InstanceHealth::Reloading
-                        } else if !n.up {
-                            if benched {
-                                InstanceHealth::Benched
-                            } else {
-                                InstanceHealth::Down
-                            }
-                        } else if n.in_flight.is_some() {
-                            if n.draining {
-                                InstanceHealth::Draining
-                            } else {
-                                InstanceHealth::Busy
-                            }
-                        } else if n.stall_until > now {
-                            InstanceHealth::Stalled
-                        } else {
-                            InstanceHealth::Idle
-                        },
-                        in_flight: n
-                            .in_flight
-                            .as_ref()
-                            .filter(|f| f.hedge_of.is_none())
-                            .map_or(0, |f| f.reqs.len()),
-                        degraded_batch: n.in_flight.as_ref().is_some_and(|f| f.degraded),
-                        hedge_batch: n.in_flight.as_ref().is_some_and(|f| f.hedge_of.is_some()),
-                    }
-                })
-                .collect(),
+            in_flight: tin.iter().sum(),
+            batches: totals.batches,
+            instances,
             tenants: s
                 .tenants
                 .iter()
                 .enumerate()
                 .map(|(t, tr)| TenantSnapshot {
-                    offered: tr.offered,
-                    completed: tr.completed,
-                    dropped: tr.dropped,
-                    degraded: tr.degraded_done,
+                    offered: tr.tally.offered,
+                    completed: tr.tally.completed,
+                    dropped: tr.tally.dropped,
+                    degraded: tr.tally.degraded,
                     queued: s.pending[t].len() as u64,
                     in_flight: tin[t],
                 })
@@ -2361,8 +2314,8 @@ impl<'a> Fleet<'a> {
     /// as [`RequestOutcome::ShedStranded`] (in the closed loop, the
     /// freed clients' remaining request budget strands the same way).
     fn settle(&mut self) {
-        if self.sched.total_queued() == 0 && self.sched.offered as usize == self.sched.cfg.requests
-        {
+        let offered = self.sched.totals().offered;
+        if self.sched.total_queued() == 0 && offered as usize == self.sched.cfg.requests {
             return;
         }
         assert!(
@@ -2406,75 +2359,26 @@ impl<'a> Fleet<'a> {
     pub fn into_functional_report(mut self) -> FunctionalServingReport {
         self.run_to_completion();
         let fin = self.into_parts();
-        let func = fin
+        let (predictions, t_correct) = fin
             .functional
             .expect("invariant: into_functional_report is only called on functional fleets");
-        debug_assert!(
-            fin.outcomes
-                .iter()
-                .zip(&func.predictions)
-                .all(
-                    |(o, &p)| matches!(o, RequestOutcome::Served | RequestOutcome::Degraded)
-                        == (p != usize::MAX)
-                ),
-            "exactly the responses must have been executed"
-        );
-        let model_of: Vec<usize> = fin
-            .tenant_of
-            .iter()
-            .map(|&t| fin.tenant_models[t as usize])
-            .collect();
-        let correct = func.correct_responses(&fin.outcomes, |id| model_of[id]);
+        let correct: u64 = t_correct.iter().sum();
         let serving = fin.report;
-        let responses = serving.completed + serving.degraded;
-        // Per-tenant correctness: walk the responses once, crediting the
-        // tenant that owns each request id.
-        let mut t_correct = vec![0u64; serving.tenants.len()];
-        for (id, o) in fin.outcomes.iter().enumerate() {
-            if !matches!(o, RequestOutcome::Served | RequestOutcome::Degraded) {
-                continue;
-            }
-            let t = fin.tenant_of[id] as usize;
-            let w = func.workloads[fin.tenant_models[t]];
-            let label = w.samples[id % w.samples.len()].label;
-            if func.predictions[id] == label {
-                t_correct[t] += 1;
-            }
-        }
         let tenant_accuracy: Vec<TenantAccuracy> = serving
             .tenants
             .iter()
             .zip(&t_correct)
-            .map(|(tu, &correct)| {
-                let responses = tu.completed + tu.degraded;
-                TenantAccuracy {
-                    name: tu.name.clone(),
-                    correct,
-                    accuracy_under_load: if responses == 0 {
-                        0.0
-                    } else {
-                        correct as f64 / responses as f64
-                    },
-                    accuracy_offered: if tu.offered == 0 {
-                        0.0
-                    } else {
-                        correct as f64 / tu.offered as f64
-                    },
-                }
+            .map(|(tu, &correct)| TenantAccuracy {
+                name: tu.name.clone(),
+                correct,
+                accuracy_under_load: ratio(correct as f64, tu.completed + tu.degraded),
+                accuracy_offered: ratio(correct as f64, tu.offered),
             })
             .collect();
         FunctionalServingReport {
-            accuracy_under_load: if responses == 0 {
-                0.0
-            } else {
-                correct as f64 / responses as f64
-            },
-            accuracy_offered: if serving.offered == 0 {
-                0.0
-            } else {
-                correct as f64 / serving.offered as f64
-            },
-            predictions: func.predictions,
+            accuracy_under_load: ratio(correct as f64, serving.completed + serving.degraded),
+            accuracy_offered: ratio(correct as f64, serving.offered),
+            predictions,
             outcomes: fin.outcomes,
             attempts: fin.attempts,
             correct,
@@ -2484,7 +2388,7 @@ impl<'a> Fleet<'a> {
     }
 
     /// Final accounting: terminal asserts plus report construction.
-    fn into_parts(self) -> FinishedRun<'a> {
+    fn into_parts(self) -> FinishedRun {
         assert!(self.done, "into_parts only after the simulation settled");
         let final_now = self.q.now();
         let mut sched = self.sched;
@@ -2492,12 +2396,15 @@ impl<'a> Fleet<'a> {
         // end accrues downtime up to the final event time (but not MTTR
         // — it never recovered), and capacity is re-estimated over the
         // instances still serving.
-        for (i, since) in sched.down_since.iter_mut().enumerate() {
-            if let Some(at) = since.take() {
-                sched.downtime[i] += final_now.saturating_sub(at);
-            }
-        }
-        sched.avail.downtime = std::mem::take(&mut sched.downtime);
+        sched.avail.downtime = sched
+            .nodes
+            .iter()
+            .map(|n| {
+                n.downtime
+                    + n.down_since
+                        .map_or(SimTime::ZERO, |at| final_now.saturating_sub(at))
+            })
+            .collect();
         sched.avail.active_instances = sched.nodes.iter().filter(|n| n.up || n.reloading).count();
         sched.avail.mean_mttr = sched
             .mttr_total
@@ -2505,13 +2412,14 @@ impl<'a> Fleet<'a> {
             .checked_div(sched.avail.recoveries)
             .map_or(SimTime::ZERO, SimTime::from_ps);
         let config = &sched.cfg;
+        let totals = sched.totals();
         assert_eq!(
-            sched.offered as usize, config.requests,
+            totals.offered as usize, config.requests,
             "every request must enter the system"
         );
         assert_eq!(
-            sched.completed + sched.dropped + sched.degraded_done,
-            sched.offered,
+            totals.terminal(),
+            totals.offered,
             "served + dropped + degraded must account every offered request"
         );
         let outcomes: Vec<RequestOutcome> = sched
@@ -2523,7 +2431,6 @@ impl<'a> Fleet<'a> {
                 )
             })
             .collect();
-        let responses = sched.completed + sched.degraded_done;
         // Stale flush timers may fire after the last completion, so the
         // serving makespan is the last completion time, not the queue's
         // final clock. ZERO (degenerate all-shed runs) zeroes the rate
@@ -2536,95 +2443,68 @@ impl<'a> Fleet<'a> {
             .tenants
             .iter()
             .map(|tr| {
-                let responses = tr.completed + tr.degraded_done;
+                let c = &tr.tally;
+                let rates = c.rates(secs, tr.energy_j);
                 TenantUsage {
                     name: tr.spec.name.clone(),
                     model: model_names[tr.spec.model].to_string(),
                     weight: tr.spec.weight,
                     latency_class: tr.spec.latency_class,
-                    offered: tr.offered,
-                    completed: tr.completed,
-                    dropped: tr.dropped,
-                    degraded: tr.degraded_done,
-                    shed: tr.shed,
-                    drop_rate: if tr.offered == 0 {
-                        0.0
-                    } else {
-                        tr.dropped as f64 / tr.offered as f64
-                    },
+                    offered: c.offered,
+                    completed: c.completed,
+                    dropped: c.dropped,
+                    degraded: c.degraded,
+                    shed: c.shed,
+                    drop_rate: rates.drop_rate,
                     latency: summarize(&tr.latency),
-                    served_fps: if secs > 0.0 {
-                        tr.completed as f64 / secs
-                    } else {
-                        0.0
-                    },
-                    goodput_fps: if secs > 0.0 {
-                        responses as f64 / secs
-                    } else {
-                        0.0
-                    },
-                    batches: tr.batches,
-                    mean_batch_fill: if tr.batches == 0 {
-                        0.0
-                    } else {
-                        tr.batched_requests as f64 / tr.batches as f64
-                    },
+                    served_fps: rates.fps,
+                    goodput_fps: rates.goodput_fps,
+                    batches: c.batches,
+                    mean_batch_fill: rates.mean_batch_fill,
                     model_swaps: tr.swaps,
                     swap_time: tr.swap_time,
                     energy_j: tr.energy_j,
-                    energy_per_inference_j: if responses > 0 {
-                        tr.energy_j / responses as f64
-                    } else {
-                        0.0
-                    },
+                    energy_per_inference_j: rates.energy_per_inference_j,
                 }
             })
             .collect();
+        let functional = sched.functional.map(|func| {
+            let correct = func.correct_by_tenant(&outcomes, &sched.tenant_of, &sched.tenants);
+            (func.predictions, correct)
+        });
+        // The fleet's latency set is the tenants' sets merged: every
+        // sample is stored once, and the summary does not depend on
+        // insertion order.
+        let mut latency = LatencySamples::new();
+        for tr in &mut sched.tenants {
+            latency.merge(std::mem::take(&mut tr.latency));
+        }
+        let rates = totals.rates(secs, energy_j);
         let report = ServingReport {
             accelerator: config.accelerator.name,
             model: model_names.join("+"),
             instances: config.instances,
             max_batch: config.max_batch,
-            offered: sched.offered,
-            completed: sched.completed,
-            dropped: sched.dropped,
-            degraded: sched.degraded_done,
-            shed: sched.shed,
-            drop_rate: if sched.offered == 0 {
-                0.0
-            } else {
-                sched.dropped as f64 / sched.offered as f64
-            },
-            batches: sched.batches,
-            mean_batch_fill: if sched.batches == 0 {
-                0.0
-            } else {
-                sched.batched_requests as f64 / sched.batches as f64
-            },
+            offered: totals.offered,
+            completed: totals.completed,
+            dropped: totals.dropped,
+            degraded: totals.degraded,
+            shed: totals.shed,
+            drop_rate: rates.drop_rate,
+            batches: totals.batches,
+            mean_batch_fill: rates.mean_batch_fill,
             makespan,
-            fps: if secs > 0.0 {
-                sched.completed as f64 / secs
-            } else {
-                0.0
-            },
-            goodput_fps: if secs > 0.0 {
-                responses as f64 / secs
-            } else {
-                0.0
-            },
-            latency: summarize(&sched.latency),
+            fps: rates.fps,
+            goodput_fps: rates.goodput_fps,
+            latency: summarize(&latency),
             queue_depth: sched.queue_depth,
             utilization: if makespan > SimTime::ZERO {
-                sched.util.iter().map(|u| u.ratio(makespan)).collect()
+                sched.nodes.iter().map(|n| n.util.ratio(makespan)).collect()
             } else {
                 vec![0.0; config.instances]
             },
             energy_j,
-            energy_per_inference_j: if responses > 0 {
-                energy_j / responses as f64
-            } else {
-                0.0
-            },
+            energy_per_inference_j: rates.energy_per_inference_j,
             avg_power_w: if secs > 0.0 {
                 sched.ledger.average_power_w(makespan)
             } else {
@@ -2638,23 +2518,19 @@ impl<'a> Fleet<'a> {
             report,
             outcomes,
             attempts: sched.attempts,
-            functional: sched.functional,
-            tenant_of: sched.tenant_of,
-            tenant_models: sched.tenants.iter().map(|tr| tr.spec.model).collect(),
+            functional,
         }
     }
 }
 
 /// Everything a settled run yields, before report-flavour packaging.
-struct FinishedRun<'a> {
+struct FinishedRun {
     report: ServingReport,
     outcomes: Vec<RequestOutcome>,
     attempts: Vec<u32>,
-    functional: Option<FunctionalExec<'a>>,
-    /// Owning tenant per request id.
-    tenant_of: Vec<u32>,
-    /// Model index per tenant, roster order.
-    tenant_models: Vec<usize>,
+    /// Functional fleets only: the prediction ledger (by request id) and
+    /// the correct responses per tenant (roster order).
+    functional: Option<(Vec<usize>, Vec<u64>)>,
 }
 
 /// [`LatencySummary`] of possibly-empty samples: the all-zero summary

@@ -1484,6 +1484,28 @@ mod tests {
                 },
                 "Poisson rate must be positive",
             ),
+            (
+                small_closed(1, 4, 8).with_goodput_window(SimTime::ZERO),
+                "goodput window must be positive",
+            ),
+            (
+                small_closed(2, 4, 8).with_autoscale(AutoscalePolicy::new(1, 2).with_initial(3)),
+                "autoscale initial 3 outside [1, 2]",
+            ),
+            (
+                small_closed(2, 4, 8).with_supervisor(Supervisor {
+                    jitter: 1.0,
+                    ..Supervisor::new(0)
+                }),
+                "jitter must be in [0, 1), got 1",
+            ),
+            (
+                small_closed(2, 4, 8).with_supervisor(Supervisor {
+                    crash_loop_window: SimTime::ZERO,
+                    ..Supervisor::new(0)
+                }),
+                "crash-loop window must be positive",
+            ),
         ];
         for (cfg, want) in cases {
             let err = Fleet::try_new(&cfg, &model).err().expect(want).to_string();

@@ -64,6 +64,32 @@ pub struct ShedCounts {
     pub retry: u64,
 }
 
+impl ShedCounts {
+    /// Counts one request shed for `cause`, which must be a drop
+    /// outcome (every `Shed*` variant).
+    pub(super) fn record(&mut self, cause: RequestOutcome) {
+        let slot = match cause {
+            RequestOutcome::ShedNewest => &mut self.newest,
+            RequestOutcome::ShedOldest => &mut self.oldest,
+            RequestOutcome::ShedDeadline => &mut self.deadline,
+            RequestOutcome::ShedStranded => &mut self.stranded,
+            RequestOutcome::ShedRetryBudget => &mut self.retry,
+            RequestOutcome::Served | RequestOutcome::Degraded => unreachable!("not a shed cause"),
+        };
+        *slot += 1;
+    }
+
+    /// Adds `other`'s counts cause by cause.
+    pub(super) fn add(&mut self, other: &ShedCounts) {
+        self.newest += other.newest;
+        self.oldest += other.oldest;
+        self.deadline += other.deadline;
+        self.degraded += other.degraded;
+        self.stranded += other.stranded;
+        self.retry += other.retry;
+    }
+}
+
 /// Self-healing / availability accounting of one serving run: what the
 /// stochastic failures did, what the supervisor and retry layer did
 /// about it. For a fault-free run every counter is zero and
@@ -100,7 +126,9 @@ pub struct AvailabilityStats {
     pub max_attempts_seen: u32,
     /// Hedged duplicate batches dispatched.
     pub hedges_dispatched: u64,
-    /// Hedges promoted to primary after their primary was killed.
+    /// Hedges that replaced their primary: promoted when the primary
+    /// was killed, or finished first (the primary had paid a model swap
+    /// the hedge did not) and cancelled the primary.
     pub hedges_promoted: u64,
     /// Hedges cancelled because their primary completed first.
     pub hedges_cancelled: u64,

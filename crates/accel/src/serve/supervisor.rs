@@ -118,34 +118,28 @@ impl Supervisor {
         self
     }
 
-    /// Panics on degenerate policies; called once at fleet bring-up.
-    pub(crate) fn validate(&self) {
-        assert!(
-            self.initial_backoff > SimTime::ZERO,
-            "initial backoff must be positive"
-        );
-        assert!(self.backoff_factor >= 1, "backoff factor must be >= 1");
-        assert!(
-            self.max_backoff >= self.initial_backoff,
-            "max backoff must be >= initial backoff"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.jitter),
-            "jitter must be in [0, 1), got {}",
-            self.jitter
-        );
-        assert!(
-            self.reset_after > SimTime::ZERO,
-            "ladder reset uptime must be positive"
-        );
-        assert!(
-            self.crash_loop_window > SimTime::ZERO,
-            "crash-loop window must be positive"
-        );
-        assert!(
-            self.crash_loop_limit >= 1,
-            "crash-loop limit must be >= 1 kill"
-        );
+    /// Returns the first defect of a degenerate policy. Called from
+    /// `ServingConfig::validate`, which surfaces it as
+    /// [`ServingConfigError::Supervisor`](super::ServingConfigError::Supervisor).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let defect = if self.initial_backoff == SimTime::ZERO {
+            "initial backoff must be positive".to_string()
+        } else if self.backoff_factor < 1 {
+            "backoff factor must be >= 1".to_string()
+        } else if self.max_backoff < self.initial_backoff {
+            "max backoff must be >= initial backoff".to_string()
+        } else if !(0.0..1.0).contains(&self.jitter) {
+            format!("jitter must be in [0, 1), got {}", self.jitter)
+        } else if self.reset_after == SimTime::ZERO {
+            "ladder reset uptime must be positive".to_string()
+        } else if self.crash_loop_window == SimTime::ZERO {
+            "crash-loop window must be positive".to_string()
+        } else if self.crash_loop_limit < 1 {
+            "crash-loop limit must be >= 1 kill".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(defect)
     }
 
     /// The delay before restart number `ordinal` of `instance`, which is
@@ -240,46 +234,48 @@ mod tests {
             .with_restart_mode(RestartMode::Cold);
         assert_eq!(sup.restart_budget, Some(7));
         assert_eq!(sup.restart_mode, RestartMode::Cold);
-        sup.validate();
+        assert_eq!(sup.validate(), Ok(()));
+    }
+
+    /// `validate`'s first defect for `sup`, which must be degenerate.
+    fn defect(sup: Supervisor) -> String {
+        sup.validate()
+            .expect_err("degenerate policy must be rejected")
     }
 
     #[test]
-    #[should_panic(expected = "initial backoff must be positive")]
     fn zero_backoff_rejected() {
-        Supervisor {
+        let err = defect(Supervisor {
             initial_backoff: SimTime::ZERO,
             ..Supervisor::new(0)
-        }
-        .validate();
+        });
+        assert_eq!(err, "initial backoff must be positive");
     }
 
     #[test]
-    #[should_panic(expected = "max backoff must be >= initial backoff")]
     fn inverted_cap_rejected() {
-        Supervisor {
+        let err = defect(Supervisor {
             max_backoff: SimTime::from_ps(1),
             ..Supervisor::new(0)
-        }
-        .validate();
+        });
+        assert_eq!(err, "max backoff must be >= initial backoff");
     }
 
     #[test]
-    #[should_panic(expected = "jitter must be in [0, 1)")]
     fn full_jitter_rejected() {
-        Supervisor {
+        let err = defect(Supervisor {
             jitter: 1.0,
             ..Supervisor::new(0)
-        }
-        .validate();
+        });
+        assert_eq!(err, "jitter must be in [0, 1), got 1");
     }
 
     #[test]
-    #[should_panic(expected = "crash-loop limit must be >= 1")]
     fn zero_crash_loop_limit_rejected() {
-        Supervisor {
+        let err = defect(Supervisor {
             crash_loop_limit: 0,
             ..Supervisor::new(0)
-        }
-        .validate();
+        });
+        assert_eq!(err, "crash-loop limit must be >= 1 kill");
     }
 }

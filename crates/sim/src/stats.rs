@@ -125,6 +125,17 @@ impl LatencySamples {
         self.samples.is_empty()
     }
 
+    /// Moves every sample of `other` into this set. Summaries do not
+    /// depend on insertion order, so a merged set summarizes exactly
+    /// like one recorded in a single pass.
+    pub fn merge(&mut self, other: LatencySamples) {
+        if self.samples.is_empty() {
+            self.samples = other.samples;
+        } else {
+            self.samples.extend(other.samples);
+        }
+    }
+
     /// Nearest-rank percentile: the smallest sample such that at least
     /// `p` percent of samples are at or below it. Integer arithmetic on
     /// picoseconds, so bit-identical across platforms and thread counts.
@@ -465,6 +476,22 @@ mod tests {
             assert_eq!(fwd.percentile(p), rev.percentile(p), "p{p}");
         }
         assert_eq!(fwd.summary(), rev.summary());
+    }
+
+    #[test]
+    fn merged_sets_summarize_like_one_pass() {
+        let mut whole = LatencySamples::new();
+        let mut parts = [LatencySamples::new(), LatencySamples::new()];
+        for k in 0..101u64 {
+            let s = SimTime::from_ps((k * 7919) % 1000);
+            whole.record(s);
+            parts[(k % 2) as usize].record(s);
+        }
+        let mut merged = LatencySamples::new();
+        for p in parts {
+            merged.merge(p);
+        }
+        assert_eq!(merged.summary(), whole.summary());
     }
 
     #[test]

@@ -923,3 +923,113 @@ fn multi_tenant_shuffled_trace_is_bit_identical() {
     shuffled_b.reverse();
     assert_eq!(mk(shuffled_a, shuffled_b), baseline);
 }
+
+/// Literal pin of the hedge charge path: an analytic two-tenant,
+/// two-model fleet under Degrade admission with a per-instance queue cap
+/// and hedged dispatch. Hedges run on both tiers and pay dispatch
+/// energy, model swaps and swap time to their tenant. Every figure
+/// below was captured before the dispatch and hedge charge paths were
+/// merged into one.
+#[test]
+fn pinned_hedged_degrade_two_tenant_charges() {
+    let shuffle = shufflenet_v2();
+    let goog = googlenet();
+    let cfg = ServingConfig::saturation(AcceleratorConfig::sconna(), 3, 4, 48)
+        .with_admission(AdmissionPolicy::Degrade { fallback_bits: 4 })
+        .with_queue_cap(1)
+        .with_seed(5)
+        .with_retry(RetryPolicy::default().with_hedge_after(SimTime::from_ns(10_000)))
+        .with_tenants(vec![
+            TenantSpec::new(
+                "shuffle",
+                0,
+                ArrivalProcess::Poisson { rate_fps: 20_000.0 },
+                32,
+            ),
+            TenantSpec::new("goog", 1, ArrivalProcess::Poisson { rate_fps: 5_000.0 }, 16),
+        ]);
+    let mut fleet = Fleet::new_multi(&cfg, &[&shuffle, &goog]);
+    let mut prev = fleet.snapshot();
+    let mut degraded_hedge_steps = 0usize;
+    while fleet.step() {
+        let snap = fleet.snapshot();
+        check_step(&prev, &snap, &cfg);
+        degraded_hedge_steps += snap
+            .instances
+            .iter()
+            .filter(|i| i.hedge_batch && i.degraded_batch)
+            .count();
+        prev = snap;
+    }
+    assert!(
+        degraded_hedge_steps > 0,
+        "the run must hedge a degraded-tier batch"
+    );
+    let r = fleet.into_report();
+    assert_eq!(r.shed.degraded, 5);
+    assert_eq!(format!("{:?}", r.energy_j), "1.6486098401314417");
+    assert_eq!(format!("{:?}", r.makespan), "SimTime(2959020110)");
+    let a = &r.availability;
+    assert_eq!(
+        format!(
+            "{:?}",
+            (a.hedges_dispatched, a.hedges_promoted, a.hedges_cancelled)
+        ),
+        "(15, 0, 15)"
+    );
+    let rows: Vec<String> = r
+        .tenants
+        .iter()
+        .map(|t| {
+            format!(
+                "{} {:?} {:?} {:?}",
+                t.name, t.energy_j, t.model_swaps, t.swap_time
+            )
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            "shuffle 0.17509168160030394 4 SimTime(456000)",
+            "goog 0.5316485643864359 6 SimTime(696000)",
+        ]
+    );
+}
+
+/// First completion wins a hedged pair. On MAM a model swap costs far
+/// longer than the hedge delay, so a hedge placed on an instance that
+/// already holds the tenant's model finishes before a primary that had
+/// to swap. The hedge then completes the requests and cancels its
+/// primary: every request is answered exactly once, and conservation
+/// holds at every step.
+#[test]
+fn a_hedge_that_finishes_first_replaces_its_primary() {
+    let shuffle = shufflenet_v2();
+    let goog = googlenet();
+    let sat = ServingConfig::saturation(AcceleratorConfig::mam(), 3, 4, 48);
+    let capacity = sat.estimated_capacity_fps(&shuffle);
+    let cfg = sat
+        .with_queue_cap(1)
+        .with_seed(3)
+        .with_retry(RetryPolicy::default().with_hedge_after(SimTime::from_ns(10_000)))
+        .with_tenants(vec![
+            TenantSpec::new(
+                "shuffle",
+                0,
+                ArrivalProcess::Poisson {
+                    rate_fps: 3.0 * capacity,
+                },
+                32,
+            ),
+            TenantSpec::new("goog", 1, ArrivalProcess::ClosedLoop { clients: 3 }, 16),
+        ]);
+    let mut fleet = Fleet::new_multi(&cfg, &[&shuffle, &goog]);
+    let fin = drive_with_invariants(&mut fleet, &cfg);
+    assert_eq!(fin.offered, 48);
+    let r = fleet.into_report();
+    assert_eq!(r.availability.incidents, 0);
+    assert!(
+        r.availability.hedges_promoted > 0,
+        "a hedge must win against a swapping primary"
+    );
+}
