@@ -197,9 +197,11 @@ mod tests {
     #[test]
     fn table5_shape_small_drop() {
         // The Table V reproduction bar: the SCONNA engine costs only a
-        // small Top-1 drop against exact int8 (paper: ≤ 1.5 % for small
-        // CNNs — ours is a small CNN, so we allow up to 5 points on the
-        // small synthetic test set).
+        // small Top-1 drop against exact int8. The run is deterministic
+        // and measures a 4.0-point drop; the bar allows 5 points on this
+        // small synthetic test set. That is still short of the paper's
+        // ≤ 0.4 % drop on ImageNet-scale CNNs: 10 test images per class
+        // make one flipped prediction worth a full point.
         let result = AccuracyExperiment {
             train_per_class: 15,
             test_per_class: 10,
@@ -209,7 +211,7 @@ mod tests {
         .run();
         assert!(result.exact_top1 > 0.8, "exact int8 accuracy {result:?}");
         assert!(
-            result.top1_drop_pct <= 8.0,
+            result.top1_drop_pct <= 5.0,
             "Top-1 drop {} too large",
             result.top1_drop_pct
         );

@@ -26,15 +26,20 @@
 //! (`row(w, k)[0] == 0`), so the integer rails are unchanged; after ReLU,
 //! about half of a conv layer's inputs are zero.
 //!
-//! The keyed ADC conversion is **phased**. The rails of one
-//! `(kernel, chunk)` are converted in four passes: the keyed stream and
-//! the Box-Muller `u1`; the radius `r = sqrt(-2 ln u1)`; a conservative
-//! test that settles every pair whose two codes no angle can change (the
+//! The keyed ADC conversion is **phased** and **table-settled**. The
+//! rails of one `(kernel, chunk)` are converted in three passes. First,
+//! the keyed stream and the Box-Muller `u1`, and a conservative test on a
+//! 1,024-entry table that bounds the radius `r = sqrt(-2 ln u1)` per `u1`
+//! bucket: it settles every pair whose two codes no draw can change (the
 //! noise `|σ·g| ≤ σ·r` cannot move the rail off its rounding bin, or it
-//! already saturates); and, for the undecided pairs only, `u2`, `sin_cos`
-//! and the unchanged [`AdcModel::quantize`]. The settled code is the same
-//! f64 that `quantize` returns, so the conversion stays bit-identical to
-//! [`AdcModel::convert_pair`] (the argument is on `PhasedAdc`). The
+//! already saturates), with no `ln`. Second, for the undecided pairs, the
+//! exact `r`, `u2`, and the same test on a 1,024-entry table of middle
+//! `(sin, cos)` per `u2` bucket, which pins each Gaussian to within
+//! `r·π/1024`. Third, for the pairs whose interval still straddles a
+//! rounding edge, `sin_cos` and the unchanged [`AdcModel::quantize`]. The
+//! settled code is the same f64 that `quantize` returns, so the
+//! conversion stays bit-identical to [`AdcModel::convert_pair`] (the
+//! argument is on `PhasedAdc`). The
 //! raw [`VdpEngine::vdp_batch`] (the trait default over
 //! [`VdpEngine::vdp_keyed`]) stays the parity oracle.
 
@@ -93,53 +98,132 @@ const TILE_PATCHES: usize = 128;
 // The sparse sweep stores a block's patch index in a `u8`.
 const _: () = assert!(TILE_PATCHES <= 1 << u8::BITS);
 
-/// Relative slack the phased ADC adds to its noise bound: far above the
+/// Relative slack the phased ADC adds to its noise bounds: far above the
 /// few ulps by which `quantize`'s f64 chain (and `x · (1/step)` against
-/// `x / step`) can stray from the exact value, far below any noise the
-/// ADC model draws.
+/// `x / step`, or a table's `sin`/`cos` against the drawn angle's) can
+/// stray from the exact value, far below any noise the ADC model draws.
 const ADC_SKIP_SLACK: f64 = 1e-9;
+
+/// Buckets of each phased-ADC bound table: `u1` and `u2` index their
+/// table by `⌊u · 1024⌋`.
+const ADC_TABLE_BUCKETS: usize = 1024;
+
+/// Half-width of a `u2` bucket in angle: `|θ − θ_mid| ≤ π/1024` for
+/// `θ = 2π·u2` and the bucket's middle angle `θ_mid`.
+const ADC_ANGLE_HALF_WIDTH: f64 = std::f64::consts::PI / ADC_TABLE_BUCKETS as f64;
+
+/// The phased ADC's two bound tables, built once per process.
+struct AdcTables {
+    /// Upper bound on `r = sqrt(-2 ln u1)` over each `u1` bucket: `r` is
+    /// decreasing in `u1`, so the bound is `r` at the bucket's lower end
+    /// (`f64::EPSILON` for the first bucket, where `u1` starts), plus a
+    /// relative margin of `1e-12` for the ulp by which f64 `ln` may
+    /// stray from monotone.
+    radius: [f64; ADC_TABLE_BUCKETS],
+    /// `(sin, cos)` of each `u2` bucket's middle angle.
+    angle: [(f64, f64); ADC_TABLE_BUCKETS],
+}
+
+impl AdcTables {
+    /// The process-wide tables, built on first use.
+    fn get() -> &'static Self {
+        static TABLES: std::sync::OnceLock<AdcTables> = std::sync::OnceLock::new();
+        TABLES.get_or_init(|| {
+            let buckets = ADC_TABLE_BUCKETS as f64;
+            Self {
+                radius: std::array::from_fn(|b| {
+                    let u1 = (b as f64 / buckets).max(f64::EPSILON);
+                    (-2.0 * u1.ln()).sqrt() * (1.0 + 1e-12)
+                }),
+                angle: std::array::from_fn(|b| {
+                    (2.0 * std::f64::consts::PI * ((b as f64 + 0.5) / buckets)).sin_cos()
+                }),
+            }
+        })
+    }
+}
+
+/// The bucket of `u ∈ [0, 1)` in an [`AdcTables`] table. The mask is a
+/// no-op for `u < 1` and spares the lookup its bounds check.
+#[inline]
+fn adc_bucket(u: f64) -> usize {
+    (u * ADC_TABLE_BUCKETS as f64) as usize & (ADC_TABLE_BUCKETS - 1)
+}
+
+/// The code of a rail whose noisy value `y · f` (in steps) lies in
+/// `[y·lo, y·hi]` for every draw, if that interval settles it: returns
+/// `(code, settled)`. `k` is the bin of the interval's lower end
+/// (non-negative when `lo > 0`, which the caller checks, so truncating
+/// `+ 0.5` rounds it). The code is settled when the upper end stays below
+/// that bin's upper edge, or when the lower end already reaches the top
+/// code.
+#[inline]
+fn settle_code(y: f64, lo: f64, hi: f64, top: f64) -> (f64, bool) {
+    let t = y * lo + 0.5;
+    let k = t as i64 as f64;
+    (k.min(top), (y * hi < k + 0.5) | (t >= top))
+}
 
 /// Scratch of the phased keyed ADC: converts the rail pairs of one
 /// `(kernel, chunk)` of a tile block, each equal bit for bit to
-/// [`AdcModel::convert_pair`] on its own [`KeyedAdcStream`], but draws
-/// the Box-Muller angle (`u2` and `sin_cos`) only for pairs whose noise
-/// can still move a code.
+/// [`AdcModel::convert_pair`] on its own [`KeyedAdcStream`], but calls
+/// `ln` and `sqrt` only for pairs a table bound on the radius leaves
+/// undecided, and `sin_cos` only for pairs whose code a table bound on
+/// the angle still leaves undecided.
 ///
-/// The skip test is exact. A pair's Gaussians are `r·cos θ` and
-/// `r·sin θ`, so `|g| ≤ r` for every angle. For a rail `x ≥ 0`, every
-/// step from `g` to the code (`σ·g`, `1 + ·`, `x · ·`, `/ step`,
-/// `round`, `clamp`) is monotone, so every angle lands inside
-/// `y·(1 ± (|σ|·r + ADC_SKIP_SLACK))` with `y = x · (1/step)`. If the
-/// lower factor is positive and the interval lies inside one rounding
-/// bin, or wholly at or above the top code, every angle gives the same
+/// Both settle tests are exact. A pair's Gaussians are `r·cos θ` and
+/// `r·sin θ`. For a rail `x ≥ 0`, every step from the Gaussian `g` to
+/// the code (`σ·g`, `1 + ·`, `x · ·`, `/ step`, `round`, `clamp`) is
+/// monotone. So if every admissible `g` puts the factor `1 + σ·g` in
+/// `[lo, hi]` with `lo > 0`, the code lies between those of `y·lo` and
+/// `y·hi` (`y = x · (1/step)`); when both fall in one rounding bin, or
+/// the lower one at or above the top code, every draw gives the same
 /// code `min(k, top)`, and the result is the same f64 `code · step` that
-/// [`AdcModel::quantize`] returns.
+/// [`AdcModel::quantize`] returns. Each bound widens by
+/// `ADC_SKIP_SLACK`, which covers the f64 rounding of the chain.
+///
+/// * **Radius table.** `|g| ≤ r ≤ r̂`, with `r̂` the [`AdcTables`]
+///   bound of the pair's `u1` bucket, so `[lo, hi] = 1 ± (|σ|·r̂ +
+///   slack)`. It needs neither `ln` nor `sqrt`; every zero rail settles
+///   here.
+/// * **Angle table.** For the rest, the exact `r` and `u2` are drawn.
+///   With `θ_mid` the middle of `u2`'s bucket, `|cos θ − cos θ_mid| ≤
+///   |θ − θ_mid| ≤ π/1024` (cos and sin are 1-Lipschitz), and likewise
+///   for `sin`, so each rail's factor lies in `1 + σ·r·c_mid ± (|σ|·r·π/1024
+///   + slack)`, `c_mid` being the table's `cos θ_mid` or `sin θ_mid`. Only
+///   a pair whose interval straddles a rounding edge pays `sin_cos` and
+///   [`AdcModel::quantize`].
 struct PhasedAdc {
+    /// The radius and angle bound tables.
+    tables: &'static AdcTables,
     /// Keyed stream state after the `u1` draw, one per pair.
     states: Vec<u64>,
-    /// `u1`, then the Box-Muller radius `sqrt(-2 ln u1)`, one per pair.
+    /// `u1`, then the exact radius `sqrt(-2 ln u1)` of the pairs the
+    /// radius table left undecided, one per pair.
     radii: Vec<f64>,
-    /// Indices of the pairs the skip test left undetermined.
+    /// `u2` of the pairs the radius table left undecided, one per pair.
+    u2s: Vec<f64>,
+    /// Indices of the undecided pairs: those the radius table left, then
+    /// (compacted in place) those the angle table left.
     pending: Vec<usize>,
-    /// `(sin θ, cos θ)` of each undetermined pair, in `pending` order.
-    angles: Vec<(f64, f64)>,
 }
 
 impl PhasedAdc {
     /// Scratch for up to `pairs` rail pairs per call.
     fn new(pairs: usize) -> Self {
         Self {
+            tables: AdcTables::get(),
             states: vec![0; pairs],
             radii: vec![0.0; pairs],
+            u2s: vec![0.0; pairs],
             pending: vec![0; pairs],
-            angles: vec![(0.0, 0.0); pairs],
         }
     }
 
     /// Converts the rail pairs `(pos[p], neg[p])` through `adc` into
     /// `(pos_out[p], neg_out[p])`, with the noise of
     /// `KeyedAdcStream::at(bases[p], lane)`. Returns how many pairs
-    /// needed the full draw.
+    /// needed the exact radius, and how many of those the full draw.
     fn convert(
         &mut self,
         adc: &AdcModel,
@@ -147,66 +231,65 @@ impl PhasedAdc {
         lane: u64,
         (pos, neg): (&[f64], &[f64]),
         (pos_out, neg_out): (&mut [f64], &mut [f64]),
-    ) -> usize {
+    ) -> (usize, usize) {
         let n = bases.len();
         let (states, radii) = (&mut self.states[..n], &mut self.radii[..n]);
-        // Pass 1: the keyed stream and u1, keeping the stream state.
-        for ((state, u1), &base) in states.iter_mut().zip(&mut *radii).zip(bases) {
-            let mut stream = KeyedAdcStream::at(base, lane);
-            *u1 = stream.gen_range(f64::EPSILON..1.0);
-            *state = stream.state;
-        }
-        // Pass 2: the radius.
-        for r in &mut *radii {
-            *r = (-2.0 * r.ln()).sqrt();
-        }
-        // Pass 3: the code of every pair no angle can change, written
-        // unconditionally; the undecided pairs are compacted into
-        // `pending` and overwritten in pass 4.
         let step = adc.step_ones();
         let inv_step = 1.0 / step;
         let top = ((1u64 << adc.bits) - 1) as f64;
-        let sigma = adc.relative_noise_sigma.abs();
+        let sigma = adc.relative_noise_sigma;
+        let abs_sigma = sigma.abs();
+        // Pass 1: the keyed stream and u1, then the radius-table test.
+        // Every pair's code is written unconditionally; the undecided
+        // pairs are compacted into `pending` and overwritten later.
         let mut undecided = 0;
         let rails = pos
             .iter()
             .zip(neg)
             .zip(pos_out.iter_mut())
             .zip(neg_out.iter_mut());
-        for (p, (&r, (((&xp, &xn), qp), qn))) in radii.iter().zip(rails).enumerate() {
-            let spread = sigma * r + ADC_SKIP_SLACK;
+        let slots = states.iter_mut().zip(radii.iter_mut()).zip(bases);
+        for (p, (((state, u1), &base), (((&xp, &xn), qp), qn))) in slots.zip(rails).enumerate() {
+            let mut stream = KeyedAdcStream::at(base, lane);
+            *u1 = stream.gen_range(f64::EPSILON..1.0);
+            *state = stream.state;
+            let spread = abs_sigma * self.tables.radius[adc_bucket(*u1)] + ADC_SKIP_SLACK;
             let (lo, hi) = (1.0 - spread, 1.0 + spread);
-            // `k` is the bin of the interval's lower end (non-negative
-            // when `lo > 0`, so truncating `+ 0.5` rounds it). The code
-            // is settled when the upper end stays below that bin's upper
-            // edge, or when the lower end already reaches the top code.
-            let settle = |x: f64| {
-                let y = x * inv_step;
-                let t = y * lo + 0.5;
-                let k = t as i64 as f64;
-                (k.min(top) * step, (y * hi < k + 0.5) | (t >= top))
-            };
-            let (cp, settled_p) = settle(xp);
-            let (cn, settled_n) = settle(xn);
-            (*qp, *qn) = (cp, cn);
+            let (cp, settled_p) = settle_code(xp * inv_step, lo, hi, top);
+            let (cn, settled_n) = settle_code(xn * inv_step, lo, hi, top);
+            (*qp, *qn) = (cp * step, cn * step);
             self.pending[undecided] = p;
             undecided += usize::from(!((lo > 0.0) & settled_p & settled_n));
         }
-        // Pass 4: the angle and the full conversion, for the undecided
-        // pairs only.
-        let pending = &self.pending[..undecided];
-        for (angle, &p) in self.angles.iter_mut().zip(pending) {
+        // Pass 2: the exact radius, u2 and the angle-table test, for the
+        // pairs the radius table left undecided.
+        let mut full = 0;
+        for i in 0..undecided {
+            let p = self.pending[i];
+            let r = (-2.0 * radii[p].ln()).sqrt();
             let mut stream = KeyedAdcStream { state: states[p] };
             let u2: f64 = stream.gen_range(0.0..1.0);
-            *angle = (2.0 * std::f64::consts::PI * u2).sin_cos();
+            (radii[p], self.u2s[p]) = (r, u2);
+            let (sin_mid, cos_mid) = self.tables.angle[adc_bucket(u2)];
+            let half = abs_sigma * r * ADC_ANGLE_HALF_WIDTH + ADC_SKIP_SLACK;
+            // Each rail's factor `1 + σ·g` at the middle angle.
+            let (mid_p, mid_n) = (1.0 + sigma * (r * cos_mid), 1.0 + sigma * (r * sin_mid));
+            let (cp, settled_p) = settle_code(pos[p] * inv_step, mid_p - half, mid_p + half, top);
+            let (cn, settled_n) = settle_code(neg[p] * inv_step, mid_n - half, mid_n + half, top);
+            (pos_out[p], neg_out[p]) = (cp * step, cn * step);
+            self.pending[full] = p;
+            let positive = (mid_p - half > 0.0) & (mid_n - half > 0.0);
+            full += usize::from(!(positive & settled_p & settled_n));
         }
-        let sigma = adc.relative_noise_sigma;
-        for (&(sin_t, cos_t), &p) in self.angles.iter().zip(pending) {
+        // Pass 3: the angle and the full conversion, for the pairs both
+        // tables left undecided.
+        for &p in &self.pending[..full] {
+            let (sin_t, cos_t) = (2.0 * std::f64::consts::PI * self.u2s[p]).sin_cos();
             let r = radii[p];
             pos_out[p] = adc.quantize(pos[p] * (1.0 + sigma * (r * cos_t)));
             neg_out[p] = adc.quantize(neg[p] * (1.0 + sigma * (r * sin_t)));
         }
-        undecided
+        (undecided, full)
     }
 }
 
@@ -445,9 +528,10 @@ impl VdpEngine for SconnaEngine {
     /// positive or negative rail array. Skipping a zero input is exact:
     /// `row(w, k)[0] == 0` for every weight and OSM parity, so the integer
     /// rails do not change. The block's rail pairs then go through the
-    /// phased keyed ADC (`PhasedAdc`), which draws `sin_cos` only for
-    /// the pairs whose noise can still move a code and returns the same
-    /// f64 as [`AdcModel::convert_pair`] for every pair. Noise keys are
+    /// phased keyed ADC (`PhasedAdc`), which settles codes from its
+    /// radius and angle tables, draws `sin_cos` only for the pairs whose
+    /// noise can still move a code, and returns the same f64 as
+    /// [`AdcModel::convert_pair`] for every pair. Noise keys are
     /// `combine_keys(keys[p], k)` plus the chunk index, and each
     /// accumulator adds its chunks in ascending order — bit-identical to
     /// [`VdpEngine::vdp_batch`] on the same weights (property-tested in
@@ -784,26 +868,41 @@ mod tests {
 
     #[test]
     fn phased_adc_skips_the_angle_where_noise_cannot_move_a_code() {
-        // Zero rails always settle, and at the paper's noise level so do
-        // small counts away from a boundary; a count on a boundary never
-        // does.
+        // Zero rails settle on the radius table, and at the paper's noise
+        // level so do small counts away from a boundary. A count on a
+        // boundary needs the exact radius, then settles on the angle
+        // table unless its angle interval straddles the edge: exactly
+        // the pairs whose middle angle has `|cos θ_mid| < π/1024`.
         let adc = AdcModel {
             full_scale_ones: 27 * 256,
             ..AdcModel::sconna_default()
         };
+        let pairs = 4096;
         let step = adc.step_ones();
-        let bases: Vec<u64> = (0..64).map(mix_key).collect();
-        let mut phased = PhasedAdc::new(64);
-        let (mut pos_q, mut neg_q) = (vec![0.0; 64], vec![0.0; 64]);
-        let zeros = vec![0.0; 64];
+        let bases: Vec<u64> = (0..pairs as u64).map(mix_key).collect();
+        let mut phased = PhasedAdc::new(pairs);
+        let (mut pos_q, mut neg_q) = (vec![0.0; pairs], vec![0.0; pairs]);
+        let zeros = vec![0.0; pairs];
         let q = (&mut pos_q[..], &mut neg_q[..]);
-        assert_eq!(phased.convert(&adc, &bases, 0, (&zeros, &zeros), q), 0);
-        let small = vec![3.0 * step; 64];
+        assert_eq!(phased.convert(&adc, &bases, 0, (&zeros, &zeros), q), (0, 0));
+        let small = vec![3.0 * step; pairs];
         let q = (&mut pos_q[..], &mut neg_q[..]);
-        assert!(phased.convert(&adc, &bases, 0, (&small, &zeros), q) < 8);
-        let edge = vec![3.5 * step; 64];
+        let (exact_r, _) = phased.convert(&adc, &bases, 0, (&small, &zeros), q);
+        assert!(exact_r < pairs / 8, "{exact_r} small rails needed ln");
+        let edge = vec![3.5 * step; pairs];
         let q = (&mut pos_q[..], &mut neg_q[..]);
-        assert_eq!(phased.convert(&adc, &bases, 0, (&edge, &zeros), q), 64);
+        let (exact_r, full) = phased.convert(&adc, &bases, 0, (&edge, &zeros), q);
+        assert_eq!(exact_r, pairs, "boundary rails need the exact radius");
+        let straddles: Vec<usize> = (0..pairs)
+            .filter(|&p| {
+                let mut stream = KeyedAdcStream::at(bases[p], 0);
+                let _u1: f64 = stream.gen_range(f64::EPSILON..1.0);
+                let u2: f64 = stream.gen_range(0.0..1.0);
+                phased.tables.angle[adc_bucket(u2)].1.abs() < ADC_ANGLE_HALF_WIDTH
+            })
+            .collect();
+        assert!(!straddles.is_empty() && straddles.len() < pairs / 64);
+        assert_eq!(phased.pending[..full], straddles[..]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! workload — plus the cheap `Clone`-based builder path sweep call
 //! sites use instead of re-constructing configs by hand.
 
-use crate::organization::AcceleratorConfig;
+use crate::organization::{AcceleratorConfig, AcceleratorKind};
 use crate::perf::analyze_layer_batched;
 use crate::serve::autoscale::AutoscalePolicy;
 use crate::serve::supervisor::Supervisor;
@@ -384,6 +384,18 @@ pub enum ServingConfigError {
         /// Index of the offending workload's model.
         model: usize,
     },
+    /// [`AdmissionPolicy::Degrade`] with a fallback precision the
+    /// accelerator cannot run ([`AcceleratorConfig::with_native_bits`]):
+    /// a MAM or AMM accelerator, which has no stream length to shorten,
+    /// or `fallback_bits` outside `1..=native_bits`.
+    DegradePrecision {
+        /// The accelerator's kind.
+        kind: AcceleratorKind,
+        /// The requested fallback precision.
+        fallback_bits: u8,
+        /// The accelerator's native precision.
+        native_bits: u8,
+    },
 }
 
 impl std::fmt::Display for ServingConfigError {
@@ -447,6 +459,17 @@ impl std::fmt::Display for ServingConfigError {
             Self::MissingFallback { model } => write!(
                 f,
                 "Degrade admission requires FunctionalWorkload::fallback (model {model})"
+            ),
+            Self::DegradePrecision { kind, .. } if *kind != AcceleratorKind::Sconna => {
+                write!(f, "stream-length precision scaling only applies to SCONNA")
+            }
+            Self::DegradePrecision {
+                fallback_bits,
+                native_bits,
+                ..
+            } => write!(
+                f,
+                "degraded precision must be in 1..={native_bits}, got {fallback_bits}"
             ),
         }
     }
@@ -611,6 +634,18 @@ impl ServingConfig {
         }
         if let Some(sup) = &self.supervisor {
             sup.validate().map_err(ServingConfigError::Supervisor)?;
+        }
+        if let AdmissionPolicy::Degrade { fallback_bits } = self.admission {
+            let accel = &self.accelerator;
+            if accel.kind != AcceleratorKind::Sconna
+                || !(1..=accel.native_bits).contains(&fallback_bits)
+            {
+                return Err(ServingConfigError::DegradePrecision {
+                    kind: accel.kind,
+                    fallback_bits,
+                    native_bits: accel.native_bits,
+                });
+            }
         }
         if self.tenants.is_empty() {
             validate_arrivals(&self.arrivals, self.requests)?;

@@ -68,6 +68,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sconna_sim::energy::EnergyLedger;
 use sconna_sim::event::EventQueue;
+use sconna_sim::parallel::parallel_map_with;
 use sconna_sim::stats::{
     GoodputSamples, LatencySamples, LatencySummary, QueueDepthSamples, Utilization,
 };
@@ -108,9 +109,12 @@ pub struct FunctionalWorkload<'a> {
     pub samples: &'a [Sample],
     /// Engine each instance's prepared model executes on.
     pub engine: &'a dyn VdpEngine,
-    /// Worker threads for the row-block parallelism inside one instance's
-    /// batch execution. Results are worker-count invariant; this only
-    /// changes host wall time.
+    /// Worker threads that share one flush of dispatched batches. A
+    /// functional fleet queues its dispatched batches, runs each flush's
+    /// batches concurrently on the largest `workers` among its
+    /// workloads, and gives each batch what is left over as row-block
+    /// parallelism inside it. Results are worker-count invariant; this
+    /// only changes host wall time.
     pub workers: usize,
 }
 
@@ -122,6 +126,17 @@ pub struct FunctionalWorkload<'a> {
 /// legacy entry point) holds exactly one prepared copy per instance,
 /// as before; a multi-tenant fleet keeps one per model so a swap costs
 /// only the analytic [`model_swap_time`], never a functional rebuild.
+///
+/// Execution is **deferred**: a dispatched batch is queued, and the queue
+/// flushes when it holds one batch per instance, before a kill clears
+/// the predictions of an aborted batch, and before the final ledger is
+/// read. A flush runs its batches concurrently, each whole on its
+/// instance's arena — the host counterpart of the instances' VDPEs
+/// working at once — with the workers left over per batch as row-block
+/// parallelism inside it, so a one-instance fleet flushes every batch
+/// alone with all workers. Predictions are a pure function of request id
+/// (see [`FunctionalWorkload`]), so when a batch runs cannot change
+/// them; they are applied in dispatch order.
 struct FunctionalExec<'a> {
     /// One workload per model index, parallel to the fleet's model
     /// slice.
@@ -137,8 +152,19 @@ struct FunctionalExec<'a> {
     /// so predictions are bit-identical to fresh allocation
     /// (property-tested in `tests/batch_parity.rs`).
     arenas: Vec<BatchArena>,
-    /// Prediction per request id (`usize::MAX` = no response).
+    /// Dispatched batches not yet executed, in dispatch order.
+    queued: Vec<QueuedBatch>,
+    /// Prediction per request id (`usize::MAX` = no response); current
+    /// only after [`FunctionalExec::flush`].
     predictions: Vec<usize>,
+}
+
+/// A dispatched batch waiting for the next flush.
+struct QueuedBatch {
+    inst: usize,
+    model: usize,
+    ids: Vec<u64>,
+    degraded: bool,
 }
 
 impl<'a> FunctionalExec<'a> {
@@ -169,32 +195,62 @@ impl<'a> FunctionalExec<'a> {
             nets: prepare(|w| PreparedNetwork::new(w.net, w.engine)),
             fallback,
             arenas: (0..instances).map(|_| BatchArena::new()).collect(),
+            queued: Vec::new(),
             predictions: vec![usize::MAX; requests],
             workloads,
         }
     }
 
-    /// Executes one dispatched batch on instance `inst`: the whole
-    /// batch's images run through stacked `vdp_batch` tiles, keyed per
-    /// request id — on the primary or the fallback prepared copy of
-    /// `model` according to the batch's tier.
-    fn execute_batch(&mut self, inst: usize, model: usize, ids: &[u64], degraded: bool) {
-        let w = self.workloads[model];
-        let samples = w.samples;
-        let images: Vec<&Tensor<f32>> = ids
+    /// Queues one dispatched batch of instance `inst`, flushing once the
+    /// queue holds one batch per instance.
+    fn queue_batch(&mut self, inst: usize, model: usize, ids: Vec<u64>, degraded: bool) {
+        self.queued.push(QueuedBatch {
+            inst,
+            model,
+            ids,
+            degraded,
+        });
+        if self.queued.len() >= self.arenas.len() {
+            self.flush();
+        }
+    }
+
+    /// Executes every queued batch: each one's images run through stacked
+    /// `vdp_batch` tiles on its instance's primary or fallback prepared
+    /// copy of its model, keyed per request id, and the predictions land
+    /// in dispatch order.
+    fn flush(&mut self) {
+        let batches = std::mem::take(&mut self.queued);
+        if batches.is_empty() {
+            return;
+        }
+        let workers = self
+            .workloads
             .iter()
-            .map(|&id| &samples[id as usize % samples.len()].image)
-            .collect();
-        let net = if degraded {
-            &self.fallback.as_ref().expect(
-                "invariant: degraded batches are only dispatched after fallback nets were built",
-            )[inst][model]
-        } else {
-            &self.nets[inst][model]
-        };
-        let preds = net.predict_batch_in(&images, ids, w.workers, &self.arenas[inst]);
-        for (&id, pred) in ids.iter().zip(preds) {
-            self.predictions[id as usize] = pred;
+            .map(|w| w.workers)
+            .max()
+            .expect("invariant: a functional fleet has one workload per model");
+        let inner = (workers / batches.len()).max(1);
+        let preds = parallel_map_with(batches.iter().collect(), workers, |b: &QueuedBatch| {
+            let samples = self.workloads[b.model].samples;
+            let images: Vec<&Tensor<f32>> = b
+                .ids
+                .iter()
+                .map(|&id| &samples[id as usize % samples.len()].image)
+                .collect();
+            let net = if b.degraded {
+                &self.fallback.as_ref().expect(
+                    "invariant: degraded batches are only dispatched after fallback nets were built",
+                )[b.inst][b.model]
+            } else {
+                &self.nets[b.inst][b.model]
+            };
+            net.predict_batch_in(&images, &b.ids, inner, &self.arenas[b.inst])
+        });
+        for (b, preds) in batches.iter().zip(preds) {
+            for (&id, pred) in b.ids.iter().zip(preds) {
+                self.predictions[id as usize] = pred;
+            }
         }
     }
 
@@ -1027,12 +1083,12 @@ impl Scheduler<'_> {
                 .collect();
             let service = self.charge_batch(t, inst, take, tier_degraded);
             if let Some(func) = &mut self.functional {
-                // Run the real inference the analytic model is timing:
+                // Queue the real inference the analytic model is timing:
                 // the whole batch through one stack of prepared tiles on
                 // this instance's copy of the tenant's model (primary or
                 // fallback).
                 let ids: Vec<u64> = reqs.iter().map(|&(id, _)| id).collect();
-                func.execute_batch(inst, self.tenants[t].spec.model, &ids, tier_degraded);
+                func.queue_batch(inst, self.tenants[t].spec.model, ids, tier_degraded);
             }
             for &(id, _) in &reqs {
                 let a = &mut self.attempts[id as usize];
@@ -1171,7 +1227,10 @@ impl Scheduler<'_> {
                     if let Some(func) = &mut self.functional {
                         // The aborted requests never produced a response;
                         // their (deterministic) predictions are
-                        // re-computed identically if re-dispatched.
+                        // re-computed identically if re-dispatched. The
+                        // flush runs the aborted batch first, so it
+                        // cannot write its predictions back later.
+                        func.flush();
                         for &(id, _) in &fl.reqs {
                             func.predictions[id as usize] = usize::MAX;
                         }
@@ -2468,7 +2527,8 @@ impl<'a> Fleet<'a> {
                 }
             })
             .collect();
-        let functional = sched.functional.map(|func| {
+        let functional = sched.functional.map(|mut func| {
+            func.flush();
             let correct = func.correct_by_tenant(&outcomes, &sched.tenant_of, &sched.tenants);
             (func.predictions, correct)
         });

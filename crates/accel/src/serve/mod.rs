@@ -428,6 +428,69 @@ mod tests {
     }
 
     #[test]
+    fn deferred_execution_matches_the_oracle_under_kills() {
+        // Dispatched batches run deferred, several per flush, and a kill
+        // flushes before it clears the predictions of the batch it
+        // aborts. Whatever the fleet size, worker count or retry policy,
+        // every response must carry its request's own offline prediction
+        // and every non-response none.
+        let (net, samples) = tiny_workload();
+        let engine = SconnaEngine::paper_default(13);
+        let model = shufflenet_v2();
+        let requests = 48;
+        let prepared = net.prepare(&engine);
+        let oracle: Vec<usize> = (0..requests)
+            .map(|id| {
+                let image = &samples[id % samples.len()].image;
+                prepared.predict_batch(&[image], &[id as u64], 1)[0]
+            })
+            .collect();
+        for instances in [1usize, 3, 8] {
+            // Every instance is killed once while the closed loop keeps
+            // it busy, and restarted.
+            let plan = (0..instances).fold(FaultPlan::new(), |plan, i| {
+                let at = 30_000 + 10_000 * i as u64;
+                plan.kill(SimTime::from_ns(at), i)
+                    .restart(SimTime::from_ns(at + 60_000), i)
+            });
+            let retries = [
+                RetryPolicy::default(),
+                RetryPolicy::default().with_max_attempts(1),
+            ];
+            for (shed, retry) in [false, true].into_iter().zip(retries) {
+                let cfg = small_closed(instances, 4, requests).with_retry(retry);
+                for workers in [1usize, 2, 8] {
+                    let workload = FunctionalWorkload {
+                        net: &net,
+                        fallback: None,
+                        fallback_engine: None,
+                        samples: &samples,
+                        engine: &engine,
+                        workers,
+                    };
+                    let r = Fleet::new_functional(&cfg, &model, &workload)
+                        .with_faults(&plan)
+                        .into_functional_report();
+                    let case = format!("{instances} instances, shed {shed}, w{workers}");
+                    let aborted = if shed {
+                        r.serving.shed.retry
+                    } else {
+                        r.serving.availability.retries
+                    };
+                    assert!(aborted > 0, "{case}: a kill must abort a batch");
+                    for (id, (&o, &p)) in r.outcomes.iter().zip(&r.predictions).enumerate() {
+                        let want = match o {
+                            RequestOutcome::Served | RequestOutcome::Degraded => oracle[id],
+                            _ => usize::MAX,
+                        };
+                        assert_eq!(p, want, "{case}: request {id} ({o:?})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn serves_every_request_exactly_once() {
         let model = shufflenet_v2();
         let r = simulate_serving(&small_closed(2, 4, 37), &model);
@@ -1505,6 +1568,24 @@ mod tests {
                     ..Supervisor::new(0)
                 }),
                 "crash-loop window must be positive",
+            ),
+            (
+                ServingConfig::saturation(AcceleratorConfig::mam(), 1, 4, 8)
+                    .with_admission(AdmissionPolicy::Degrade { fallback_bits: 2 }),
+                "stream-length precision scaling only applies to SCONNA",
+            ),
+            (
+                ServingConfig::saturation(AcceleratorConfig::amm(), 1, 4, 8)
+                    .with_admission(AdmissionPolicy::Degrade { fallback_bits: 2 }),
+                "stream-length precision scaling only applies to SCONNA",
+            ),
+            (
+                small_closed(1, 4, 8).with_admission(AdmissionPolicy::Degrade { fallback_bits: 0 }),
+                "degraded precision must be in 1..=8, got 0",
+            ),
+            (
+                small_closed(1, 4, 8).with_admission(AdmissionPolicy::Degrade { fallback_bits: 9 }),
+                "degraded precision must be in 1..=8, got 9",
             ),
         ];
         for (cfg, want) in cases {
